@@ -13,7 +13,8 @@
 //                     a fixed offered rate (latency), then pipelined
 //                     saturation (throughput).
 //   xl-writes-served  a 4M-page, 30%-write Zipf scenario served in
-//                     process by CacheServer from 2 closed-loop clients.
+//                     process by CacheServer (1 consumer) from 2
+//                     closed-loop clients.
 //
 // Every rate and latency comes from std::chrono::steady_clock wall time.
 #include <fcntl.h>
@@ -75,12 +76,21 @@ namespace net = clic::server::net;
 /// Requests per submitted batch on every served path (and per timed
 /// kernel call for the offline latency figures).
 constexpr std::size_t kBatch = 64;
-/// Set-up is repeated this many times; setup_s is the median.
+/// Set-up is timed this many times, setup_s is the median: the first
+/// kSetupRepsBefore before the timed phase (the last of those rigs is
+/// the one measured), the rest after it, so the median spans the host's
+/// speed drift over the run rather than the few seconds before it.
 constexpr int kSetupReps = 5;
+constexpr int kSetupRepsBefore = 2;
 /// Frames kept outstanding per connection in the wire saturation phase.
 constexpr std::size_t kPipelineDepth = 64;
-/// Throughput of the served workloads is the median of these windows.
+/// Served applied-request counts are kept per window of this length;
+/// throughput is taken over the whole windows of the timed phase.
 constexpr std::int64_t kRateWindowNs = 250'000'000;
+/// Untimed serving before xl-writes-served's timed phase: the first
+/// pass over the trace grows the page tables and fills the cache, and
+/// runs at about half the steady rate.
+constexpr double kServedWarmupS = 2.0;
 /// Requests replayed by each per-layer probe of the serving path.
 constexpr std::uint64_t kProbeRequests = 256 * 1024;
 /// Sweep pool size for tpcc-offline (clamped to the machine's cores).
@@ -217,6 +227,17 @@ double Median(std::vector<double> v) {
   return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
 }
 
+/// Mean of the values between the first and the third quartile; at
+/// least one value (the median) for any non-empty input.
+double InterquartileMean(std::vector<double> v) {
+  if (v.empty()) return 0.0;
+  std::sort(v.begin(), v.end());
+  const std::size_t lo = v.size() / 4, hi = v.size() - v.size() / 4;
+  double sum = 0;
+  for (std::size_t i = lo; i < hi; ++i) sum += v[i];
+  return sum / static_cast<double>(hi - lo);
+}
+
 /// Nearest-rank percentile of unsorted samples. A sample of +inf (a
 /// failed or refused batch) is over any limit; when the percentile
 /// lands on one, the result is `cap` — the length of the measurement,
@@ -251,7 +272,10 @@ std::string StatsText(const CacheStats& s) {
 }
 
 /// Per-window applied-request counts on a shared time origin; the
-/// served throughput is the median rate over the whole windows.
+/// served throughput is the requests applied in the whole windows ÷
+/// their wall time. The host's speed drifts over tens of seconds; a
+/// mean over the whole phase averages that drift, where a median of
+/// windows would follow whichever speed held most of the run.
 struct Windows {
   std::int64_t t0 = 0;
   std::vector<std::uint64_t> applied;
@@ -265,23 +289,24 @@ struct Windows {
     if (o.applied.size() > applied.size()) applied.resize(o.applied.size(), 0);
     for (std::size_t i = 0; i < o.applied.size(); ++i) applied[i] += o.applied[i];
   }
-  /// Median req/s over the windows that lie wholly inside [t0, end).
-  double MedianRate(std::int64_t end_ns, std::size_t* count) const {
+  /// req/s over the windows that lie wholly inside [t0, end).
+  double Rate(std::int64_t end_ns, std::size_t* count) const {
     const std::size_t whole = static_cast<std::size_t>((end_ns - t0) / kRateWindowNs);
-    std::vector<double> rates;
-    for (std::size_t i = 0; i < whole; ++i) {
-      const double n = i < applied.size() ? static_cast<double>(applied[i]) : 0.0;
-      rates.push_back(n / Seconds(kRateWindowNs));
-    }
-    *count = rates.size();
-    return Median(rates);
+    std::uint64_t n = 0;
+    for (std::size_t i = 0; i < whole && i < applied.size(); ++i) n += applied[i];
+    *count = whole;
+    return whole > 0 ? static_cast<double>(n) / Seconds(static_cast<std::int64_t>(whole) *
+                                                        kRateWindowNs)
+                     : 0.0;
   }
 };
 
 /// Per-batch latency samples in 1-second windows of a shared time
-/// origin. A run's latency percentile is the median over its windows of
-/// each window's percentile: a stalled second moves its own window, so
-/// the figure is steady while every stall still counts inside its
+/// origin. A run's latency percentile is the interquartile mean over its
+/// windows of each window's percentile: a stalled second moves its own
+/// window, which the trim drops, while the mean of the middle half
+/// follows the host's speed drift across the run rather than the speed
+/// that held in the median window. Every stall still counts inside its
 /// window. Windows too small for a p99 with ten samples beyond it are
 /// left out; a run with fewer than three full windows pools its samples.
 /// Each window keeps a uniform reservoir of at most kReservoir samples,
@@ -332,7 +357,7 @@ struct LatencyLog {
     for (const Window& w : windows) {
       if (w.seen >= kMinSamples) per.push_back(Percentile(w.kept, q, cap));
     }
-    if (per.size() >= 3) return Median(per);
+    if (per.size() >= 3) return InterquartileMean(std::move(per));
     std::vector<double> pooled;
     for (const Window& w : windows) {
       pooled.insert(pooled.end(), w.kept.begin(), w.kept.end());
@@ -376,6 +401,19 @@ ServerOptions ServedOptions(std::size_t cache_pages) {
   o.consumers = 2;
   o.cache_pages = cache_pages;
   o.policy = PolicyKind::kClic;
+  return o;
+}
+
+/// xl-writes-served's server: the served options with one consumer
+/// owning all four shards. Its two closed-loop clients then keep that
+/// consumer's rings non-empty, so it never naps and a client's wake-up
+/// overlaps the other client's batch. With two consumers each one idles
+/// between batches, and on a shared 4-vCPU host the nap and park
+/// wake-ups made throughput bimodal from run to run (1.8M vs 3.8M req/s
+/// at the same seed, back to back).
+ServerOptions XlServerOptions(std::size_t cache_pages) {
+  ServerOptions o = ServedOptions(cache_pages);
+  o.consumers = 1;
   return o;
 }
 
@@ -743,7 +781,7 @@ std::unique_ptr<Rig> Setup(const Args& a) {
       break;
     case Workload::kXlWritesServed: {
       ScopedSpan s("server.CacheServer");
-      rig->server = std::make_unique<CacheServer>(ServedOptions(cache), 2);
+      rig->server = std::make_unique<CacheServer>(XlServerOptions(cache), 2);
       break;
     }
     case Workload::kTpccWire: {
@@ -1093,6 +1131,8 @@ struct Phase {
 /// tpcc-offline: the CLIC grid over the Figure-6 cache axis through
 /// SweepRunner, repeated until the budget is spent, alternating with a
 /// sequential replay at 12k pages timed per 64-request AccessBatch.
+/// Throughput is every grid repetition's requests ÷ their summed wall
+/// time (see Windows for why a mean and not a median).
 Phase RunOffline(Rig& rig, double seconds, Report* r, bool first) {
   ScopedSpan span("bench.offline");
   const Trace& trace = rig.trace;
@@ -1110,7 +1150,9 @@ Phase RunOffline(Rig& rig, double seconds, Report* r, bool first) {
     reference = clic::Simulate(trace, *policy).total;
   }
   Phase ph;
-  std::vector<double> rates, effs;
+  std::vector<double> effs;
+  std::uint64_t replayed = 0;
+  double grid_wall = 0;
   std::vector<std::uint8_t> hits(kBatch);
   ph.latency.t0 = NowNs();
   const std::int64_t end = ph.latency.t0 + static_cast<std::int64_t>(seconds * 1e9);
@@ -1126,7 +1168,8 @@ Phase RunOffline(Rig& rig, double seconds, Report* r, bool first) {
       r->Check(SameStats(*grid_12k, row.result.total),
                "sweep 12k row changed between repetitions");
     }
-    rates.push_back(static_cast<double>(reqs) / wall);
+    replayed += reqs;
+    grid_wall += wall;
     effs.push_back(ParallelEfficiency(rows, runner.threads(), wall));
     ph.attempted += rows.size();
 
@@ -1154,9 +1197,9 @@ Phase RunOffline(Rig& rig, double seconds, Report* r, bool first) {
                  ") != sequential Simulate (" + StatsText(reference) + ")");
     Put(&r->e2e, "read_hit_ratio", grid_12k->ReadHitRatio(), "ratio");
   }
-  ph.throughput_rps = Median(rates);
+  ph.throughput_rps = static_cast<double>(replayed) / grid_wall;
   ph.parallel_eff = Median(effs);
-  ph.repetitions = rates.size();
+  ph.repetitions = effs.size();
   return ph;
 }
 
@@ -1219,7 +1262,7 @@ Phase RunXl(Rig& rig, double seconds) {
     ph.latency.Merge(t.lat);
     all.Merge(t.windows);
   }
-  ph.throughput_rps = all.MedianRate(end, &ph.repetitions);
+  ph.throughput_rps = all.Rate(end, &ph.repetitions);
   return ph;
 }
 
@@ -1231,7 +1274,7 @@ Phase RunWire(Rig& rig, double seconds, double rate, Report* r) {
   const WireTally lat = OpenLoop(rig.conns, rig.trace, rate, seconds / 2, r);
   std::int64_t end = 0;
   const WireTally sat = Saturate(rig.conns, rig.trace, seconds / 2, r, &end);
-  ph.throughput_rps = sat.windows.MedianRate(end, &ph.repetitions);
+  ph.throughput_rps = sat.windows.Rate(end, &ph.repetitions);
   ph.latency = lat.latency;
   ph.late_p99_us = Percentile(lat.late_us, 0.99, seconds * 1e6);
   ph.attempted = lat.submitted_batches + sat.submitted_batches;
@@ -1326,18 +1369,21 @@ int Main(int argc, char** argv) {
   SetTracing(a.trace);
   Report r;
 
-  // Set-up, repeated; the last rig is the one measured.
   std::vector<double> setup_s;
+  const auto timed_setup = [&a, &setup_s] {
+    const std::int64_t s = NowNs();
+    std::unique_ptr<Rig> rig = Setup(a);
+    setup_s.push_back(Seconds(NowNs() - s));
+    return rig;
+  };
+  const auto discard = [](std::unique_ptr<Rig> rig) {
+    if (rig && rig->server) rig->server->Stop();
+  };
   std::unique_ptr<Rig> rig;
   std::int64_t gen_ns = 0;
-  for (int i = 0; i < kSetupReps; ++i) {
-    if (rig) {
-      if (rig->server) rig->server->Stop();
-      rig.reset();
-    }
-    const std::int64_t s = NowNs();
-    rig = Setup(a);
-    setup_s.push_back(Seconds(NowNs() - s));
+  for (int i = 0; i < kSetupRepsBefore; ++i) {
+    discard(std::move(rig));
+    rig = timed_setup();
   }
   {
     // Generation alone, for workload.gen_ns_per_req (outside set-up timing).
@@ -1367,7 +1413,13 @@ int Main(int argc, char** argv) {
     ph.attempted += warm.attempted + plain.attempted;
     ph.failed += warm.failed + plain.failed;
   } else {
+    Phase warm;
+    if (a.workload == Workload::kXlWritesServed) {
+      warm = RunPhase(a, *rig, kServedWarmupS, &r, true);
+    }
     ph = RunPhase(a, *rig, a.seconds, &r, true);
+    ph.attempted += warm.attempted;
+    ph.failed += warm.failed;
   }
   // High-water resident memory of set-up plus the measured phase; the
   // correctness replays after it are not part of the workload.
@@ -1380,6 +1432,7 @@ int Main(int argc, char** argv) {
     Put(&r.e2e, "read_hit_ratio", ServedReadHitRatio(trace, cache), "ratio");
     CheckDeterministicPrefix(trace, cache, &r);
   }
+  for (int i = kSetupRepsBefore; i < kSetupReps; ++i) discard(timed_setup());
   Put(&r.e2e, "setup_s", Median(setup_s), "s");
   Put(&r.e2e, "throughput_rps", ph.throughput_rps, "req/s");
   Put(&r.e2e, "p50_us", ph.latency.Summary(0.50, cap_us), "us");
