@@ -126,7 +126,7 @@ server::net::NetServerOptions MakeServerOptions(std::size_t conn_limit,
   o.server.shards = kShards;
   o.server.cache_pages = 12'000;
   o.server.policy = PolicyKind::kLru;
-  o.server.max_consumers = static_cast<unsigned>(kShards);
+  o.server.consumers = static_cast<unsigned>(kShards);
   return o;
 }
 

@@ -125,7 +125,7 @@ RunOutcome RunOnce(const std::vector<Trace>& parts,
   options.policy = PolicyKind::kLru;
   // One owning consumer per shard even on a small CI box: a stalled
   // owner sleeps, so the healthy owners keep their shards fed.
-  options.max_consumers = static_cast<unsigned>(kShards);
+  options.consumers = static_cast<unsigned>(kShards);
   options.queue_cap = queue_cap;
   options.admission = admission;
   options.submit_timeout_ms = 5.0;

@@ -118,27 +118,6 @@ const char* AdmissionPolicyName(AdmissionPolicy p) {
   return "unknown";
 }
 
-std::optional<AdmissionPolicy> ParseAdmissionPolicy(const std::string& name) {
-  if (name == "block") return AdmissionPolicy::kBlock;
-  if (name == "deadline") return AdmissionPolicy::kBlockWithDeadline;
-  if (name == "shed") return AdmissionPolicy::kShed;
-  return std::nullopt;
-}
-
-const char* ShardAssignmentName(ShardAssignment a) {
-  switch (a) {
-    case ShardAssignment::kStripe: return "stripe";
-    case ShardAssignment::kBlock: return "block";
-  }
-  return "unknown";
-}
-
-std::optional<ShardAssignment> ParseShardAssignment(const std::string& name) {
-  if (name == "stripe") return ShardAssignment::kStripe;
-  if (name == "block") return ShardAssignment::kBlock;
-  return std::nullopt;
-}
-
 namespace {
 
 std::int64_t NowNs() {
@@ -229,20 +208,12 @@ CacheServer::CacheServer(const ServerOptions& options, std::size_t num_clients)
   } else if (options.consumers > 0) {
     workers = options.consumers;
   } else {
-    const unsigned cap = options.max_consumers > 0
-                             ? options.max_consumers
-                             : std::max(1u, std::thread::hardware_concurrency());
-    workers = static_cast<unsigned>(
-        std::min<std::size_t>(shards_.size(), std::max(1u, cap)));
+    workers = static_cast<unsigned>(std::min<std::size_t>(
+        shards_.size(), std::max(1u, std::thread::hardware_concurrency())));
   }
   owner_of_.resize(shards_.size());
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    owner_of_[s] =
-        options.assignment == ShardAssignment::kStripe
-            ? static_cast<std::uint32_t>(s % workers)
-            // Balanced contiguous blocks; floor(s*W/S) hits every
-            // consumer at least once when W <= S.
-            : static_cast<std::uint32_t>(s * workers / shards_.size());
+    owner_of_[s] = static_cast<std::uint32_t>(s % workers);
   }
   consumers_.reserve(workers);
   for (unsigned k = 0; k < workers; ++k) {

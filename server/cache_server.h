@@ -47,7 +47,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -118,17 +117,6 @@ enum class AdmissionPolicy : std::uint8_t {
   kShed,               // reject immediately with kShed
 };
 const char* AdmissionPolicyName(AdmissionPolicy p);
-std::optional<AdmissionPolicy> ParseAdmissionPolicy(const std::string& name);
-
-/// How shards are assigned to the consumer threads that own them.
-/// kStripe gives shard s to consumer s % consumers (neighbouring shards
-/// land on different cores — the default); kBlock gives each consumer a
-/// contiguous range of shards (friendlier when shard ids correlate with
-/// data placement). Either way the assignment is a static disjoint
-/// partition fixed at construction.
-enum class ShardAssignment : std::uint8_t { kStripe, kBlock };
-const char* ShardAssignmentName(ShardAssignment a);
-std::optional<ShardAssignment> ParseShardAssignment(const std::string& name);
 
 /// Exact admission/backpressure accounting, per client and aggregated.
 /// Invariants (asserted by tests/test_fault_injection.cc and gated in
@@ -177,17 +165,15 @@ struct ServerOptions {
   PolicyKind policy = PolicyKind::kLru;
   ClicOptions clic;  // applied when policy == kClic
   /// Single consumer draining clients in strict id order (see file
-  /// comment). Off: consumer count from `consumers`/`max_consumers`.
+  /// comment). Off: consumer count from `consumers`.
   bool deterministic = false;
   /// Explicit consumer (owning-core) count; 0 = auto. Must be
   /// <= shards (a consumer owning zero shards would idle forever) and
-  /// 1 when deterministic. Auto picks min(shards, max_consumers > 0 ?
-  /// max_consumers : hardware_concurrency).
+  /// 1 when deterministic. Auto picks min(shards, hardware_concurrency).
+  /// Shard s is owned by consumer s % consumers: a static disjoint
+  /// partition fixed at construction, with neighbouring shards on
+  /// different cores.
   unsigned consumers = 0;
-  /// Consumer thread cap for the auto mode; 0 = hardware concurrency.
-  unsigned max_consumers = 0;
-  /// How shards map to owning consumers (see ShardAssignment).
-  ShardAssignment assignment = ShardAssignment::kStripe;
   /// Capacity of each (client, consumer) SPSC ring, in batches. Must be
   /// a power of two >= 2 (the ring masks instead of dividing); the
   /// constructor throws naming the offending value otherwise.

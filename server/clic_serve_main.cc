@@ -12,12 +12,10 @@
 // trace; --verify checks exactly that in-process and fails loudly on
 // any divergence.
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -28,8 +26,6 @@
 #include "server/net/wire_client.h"
 #include "sweep/sweep.h"
 #include "sweep/trace_cache.h"
-#include "workload/scenario.h"
-#include "workload/trace_factory.h"
 
 namespace clic::server {
 namespace {
@@ -41,328 +37,173 @@ struct CliOptions {
   ServerOptions server;
   LoadOptions load;
   bool verify = false;
-  std::string cache_dir;       // empty = CLIC_TRACE_CACHE_DIR / default
-  std::uint64_t requests = 0;  // 0 = CLIC_BENCH_REQUESTS / default cap
-  std::string format = "csv";
-  std::string output;  // empty = stdout
+  cli::RunOptions run;
   /// Parsed --fault-plan; server.fault points here when one was given
   /// (CliOptions is copied once out of Parse, so the pointer is wired
   /// up in Main after the copy settles).
-  fault::FaultPlan fault_plan;
-  bool has_fault_plan = false;
+  std::optional<fault::FaultPlan> fault_plan;
 
   // ---- network front end (server/net/) ----
   bool listen = false;   // standalone wire server until SIGTERM/SIGINT
   bool connect = false;  // loopback: in-process wire server + wire drivers
-  std::string listen_addr = "127.0.0.1";
-  std::uint16_t port = 0;       // 0 = ephemeral
-  unsigned io_threads = 1;
-  std::size_t conn_limit = 0;   // 0 = auto (clients / 64)
-  double read_timeout_ms = 0.0;
+  /// Address, port, io threads, connection limit and read timeout; the
+  /// embedded server options are filled from `server` at startup.
+  net::NetServerOptions net;
 };
-
-void Usage(std::FILE* out) {
-  std::fprintf(
-      out,
-      "Usage: clic_serve --trace=NAME | --workload=SPEC [flags]\n"
-      "\n"
-      "Workload:\n"
-      "  --trace=NAME       named trace to replay (see --list)\n"
-      "  --workload=SPEC    synthetic scenario: a preset name or inline\n"
-      "                     spec like 'zipf:pages=120000,theta=0.9'\n"
-      "                     (see --list; workload/scenario.h has the\n"
-      "                     grammar). Alias of --trace — both accept\n"
-      "                     every workload token; give exactly one.\n"
-      "  --requests=N       request budget (overrides CLIC_BENCH_REQUESTS)\n"
-      "  --duration=SEC     run clients for SEC seconds instead of one\n"
-      "                     pass (incompatible with --deterministic)\n"
-      "  --cache-dir=PATH   trace cache dir (overrides "
-      "CLIC_TRACE_CACHE_DIR)\n"
-      "\n"
-      "Server:\n"
-      "  --policy=NAME      shard replacement policy (default LRU; OPT is\n"
-      "                     clairvoyant and not servable)\n"
-      "  --shards=S         hash shards, each with its own policy "
-      "(default 4)\n"
-      "  --cache-pages=N    total cache budget, split across shards\n"
-      "                     (default 12000)\n"
-      "  --clients=C        closed-loop client threads (default 4)\n"
-      "  --batch=B          requests per submitted batch (default 64)\n"
-      "  --consumers=K      owning-consumer (core) threads; each consumer\n"
-      "                     owns a disjoint set of shards. 0 = auto\n"
-      "                     (min(shards, hardware cores)). Must be\n"
-      "                     <= shards; forced to 1 by --deterministic\n"
-      "  --owned-shards=A   stripe | block: how shards map to owning\n"
-      "                     consumers (default stripe)\n"
-      "  --ring-capacity=N  per-(client,consumer) SPSC ring capacity in\n"
-      "                     batches; a power of two >= 2 (default 256)\n"
-      "  --deterministic    single consumer, strict client order: hit\n"
-      "                     counts match per-shard sequential Simulate()\n"
-      "  --verify           with --deterministic: check that equivalence\n"
-      "                     in-process, exit 1 on any mismatch (with a\n"
-      "                     shedding fault plan, the baseline excludes\n"
-      "                     the deterministically shed batches)\n"
-      "\n"
-      "Overload resilience (all off by default):\n"
-      "  --queue-cap=N      max pending batches per client queue\n"
-      "  --admission=P      block | deadline | shed: producer behaviour\n"
-      "                     at a full queue (deadline needs\n"
-      "                     --submit-timeout-ms)\n"
-      "  --submit-timeout-ms=F  wait bound for --admission=deadline\n"
-      "  --deadline-ms=F    drop batches older than this at drain time\n"
-      "                     instead of serving them stale\n"
-      "  --watchdog-ms=F    shed batches routed at a shard whose\n"
-      "                     in-flight drain exceeds this threshold\n"
-      "  --fault-plan=SPEC  deterministic fault injection, e.g.\n"
-      "                     'stall:shard=0,after=10,drains=5,ms=50;\n"
-      "                     shed:every=7;seed=42' (grammar in\n"
-      "                     server/fault_injection.h)\n"
-      "\n"
-      "Network front end (server/net/ wire protocol over epoll):\n"
-      "  --listen[=ADDR]    serve the wire protocol on ADDR (default\n"
-      "                     127.0.0.1) until SIGTERM/SIGINT, then drain\n"
-      "                     gracefully (in-flight frames -> `stopped`)\n"
-      "  --connect          loopback mode: start an in-process wire server\n"
-      "                     on an ephemeral port and replay the workload\n"
-      "                     through real sockets; with --deterministic\n"
-      "                     --verify this is the wire-level correctness\n"
-      "                     gate\n"
-      "  --port=N           TCP port for --listen (0..65535; 0 = "
-      "ephemeral)\n"
-      "  --io-threads=N     connection threads (must be 1 with\n"
-      "                     --deterministic)\n"
-      "  --conn-limit=N     connection table bound == server client ports\n"
-      "                     (default: clients for --connect, 64 for\n"
-      "                     --listen); a full table sheds at accept time\n"
-      "  --read-timeout-ms=F  evict a connection whose partial frame is\n"
-      "                     older than this (slowloris guard)\n"
-      "\n"
-      "CLIC options (when --policy=CLIC):\n"
-      "  --window=W --decay=R --outqueue=N --no-charge-metadata\n"
-      "  --tracker=exact|space_saving|lossy_counting --top-k=K\n"
-      "  --adaptive-window --churn-threshold=S (in [0, 1])\n"
-      "  --min-window=N --max-window=N  effective-window bounds\n"
-      "                     (defaults: window/16 and window; see\n"
-      "                     DESIGN.md \"Adaptive windowing\")\n"
-      "\n"
-      "Output:\n"
-      "  --format=csv|json  summary row (csv) or full object (json)\n"
-      "  --output=FILE      default: stdout\n"
-      "  --list             print known traces and policies, then exit\n"
-      "  --help             this text\n");
-}
 
 [[noreturn]] void Die(const std::string& message) { cli::Die(kProg, message); }
 
-void PrintList() {
-  std::printf("Traces:");
-  for (const NamedTraceInfo& info : NamedTraces()) {
-    std::printf(" %s", info.name.c_str());
-  }
-  std::printf("\nScenario presets:");
-  for (const ScenarioPreset& preset : ScenarioPresets()) {
-    std::printf(" %s", preset.name);
-  }
-  std::printf("\nPolicies:");
-  for (PolicyKind kind : AllPolicies()) {
-    if (kind == PolicyKind::kOpt) continue;  // not servable online
-    std::printf(" %s", PolicyName(kind));
-  }
-  std::printf("\n");
-}
-
 CliOptions Parse(int argc, char** argv) {
   CliOptions opts;
-  bool net_tuning = false;  // any of --port/--io-threads/--conn-limit/...
   opts.server.shards = 4;
   opts.server.cache_pages = 12'000;
   opts.load.clients = 4;
   opts.load.batch_size = 64;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      Usage(stdout);
-      std::exit(0);
-    }
-    if (arg == "--list") {
-      PrintList();
-      std::exit(0);
-    }
-    if (arg == "--deterministic") {
-      opts.server.deterministic = true;
-      continue;
-    }
-    if (arg == "--listen") {
-      opts.listen = true;
-      continue;
-    }
-    if (arg == "--connect") {
-      opts.connect = true;
-      continue;
-    }
-    if (arg == "--verify") {
-      opts.verify = true;
-      continue;
-    }
-    if (arg == "--no-charge-metadata") {
-      opts.server.clic.charge_metadata = false;
-      continue;
-    }
-    if (arg == "--adaptive-window") {
-      opts.server.clic.adaptive_window = true;
-      continue;
-    }
-    const std::size_t eq = arg.find('=');
-    if (arg.rfind("--", 0) != 0 || eq == std::string::npos) {
-      Die("unrecognized argument '" + arg + "'");
-    }
-    const std::string key = arg.substr(0, eq);
-    const std::string value = arg.substr(eq + 1);
-    if (key == "--trace" || key == "--workload") {
+  // --trace and --workload are aliases: both accept every workload token.
+  const auto set_workload = [&opts](const char* flag) {
+    return [&opts, flag](const char* prog, const std::string& value) {
       if (!opts.trace.empty()) {
         Die("--trace and --workload are aliases; give exactly one "
             "workload (got '" +
             opts.trace + "' and '" + value + "')");
       }
-      cli::RequireKnownWorkload(kProg, key, value);
+      cli::RequireKnownWorkload(prog, flag, value);
       opts.trace = value;
-    } else if (key == "--policy") {
-      opts.server.policy = cli::RequirePolicy(kProg, key, value);
-      if (opts.server.policy == PolicyKind::kOpt) {
-        Die("--policy=OPT: OPT is clairvoyant and cannot serve an online "
-            "stream (valid policies: " +
-            cli::KnownPolicyNames() + ", minus OPT)");
-      }
-    } else if (key == "--shards") {
-      const std::uint64_t shards = cli::ParseU64(kProg, key, value);
-      if (shards > 4096) Die(key + "='" + value + "' is unreasonably large");
-      opts.server.shards = static_cast<std::size_t>(shards);
-    } else if (key == "--cache-pages") {
-      opts.server.cache_pages =
-          static_cast<std::size_t>(cli::ParseU64(kProg, key, value));
-    } else if (key == "--consumers") {
-      const std::uint64_t consumers = cli::ParseU64(kProg, key, value);
-      if (consumers > 4096) Die(key + "='" + value + "' is unreasonably large");
-      opts.server.consumers = static_cast<unsigned>(consumers);
-    } else if (key == "--owned-shards") {
-      const std::optional<ShardAssignment> assignment =
-          ParseShardAssignment(value);
-      if (!assignment) {
-        Die("unknown --owned-shards='" + value +
-            "' (valid: stripe, block)");
-      }
-      opts.server.assignment = *assignment;
-    } else if (key == "--ring-capacity") {
-      const std::uint64_t capacity = cli::ParseU64(kProg, key, value);
-      if (capacity < 2 || (capacity & (capacity - 1)) != 0) {
-        Die("--ring-capacity='" + value +
-            "' must be a power of two >= 2 (the ring masks instead of "
-            "dividing)");
-      }
-      opts.server.ring_capacity = static_cast<std::size_t>(capacity);
-    } else if (key == "--clients") {
-      const std::uint64_t clients = cli::ParseU64(kProg, key, value);
-      if (clients > 4096) Die(key + "='" + value + "' is unreasonably large");
-      opts.load.clients = static_cast<std::size_t>(clients);
-    } else if (key == "--batch") {
-      opts.load.batch_size =
-          static_cast<std::size_t>(cli::ParseU64(kProg, key, value));
-    } else if (key == "--requests") {
-      opts.requests = cli::ParseU64(kProg, key, value);
-    } else if (key == "--queue-cap") {
-      opts.server.queue_cap =
-          static_cast<std::size_t>(cli::ParseU64(kProg, key, value));
-    } else if (key == "--admission") {
-      const std::optional<AdmissionPolicy> policy =
-          ParseAdmissionPolicy(value);
-      if (!policy) {
-        Die("unknown --admission='" + value +
-            "' (valid: block, deadline, shed)");
-      }
-      opts.server.admission = *policy;
-    } else if (key == "--submit-timeout-ms") {
-      opts.server.submit_timeout_ms = cli::ParseDouble(kProg, key, value);
-    } else if (key == "--deadline-ms") {
-      opts.server.batch_deadline_ms = cli::ParseDouble(kProg, key, value);
-    } else if (key == "--watchdog-ms") {
-      opts.server.watchdog_ms = cli::ParseDouble(kProg, key, value);
-    } else if (key == "--fault-plan") {
-      std::string error;
-      if (!fault::ParseFaultPlan(value, &opts.fault_plan, &error)) {
-        Die(error);
-      }
-      opts.has_fault_plan = true;
-    } else if (key == "--listen") {
-      opts.listen = true;
-      opts.listen_addr = value;
-    } else if (key == "--port") {
-      const std::uint64_t port = cli::ParseU64AllowZero(kProg, key, value);
-      if (port > 65535) {
-        Die("--port='" + value +
-            "' is out of range (TCP ports are 0..65535; 0 binds an "
-            "ephemeral port)");
-      }
-      opts.port = static_cast<std::uint16_t>(port);
-      net_tuning = true;
-    } else if (key == "--io-threads") {
-      const std::uint64_t io = cli::ParseU64(kProg, key, value);
-      if (io > 1024) Die(key + "='" + value + "' is unreasonably large");
-      opts.io_threads = static_cast<unsigned>(io);
-      net_tuning = true;
-    } else if (key == "--conn-limit") {
-      const std::uint64_t limit = cli::ParseU64(kProg, key, value);
-      if (limit > 65536) Die(key + "='" + value + "' is unreasonably large");
-      opts.conn_limit = static_cast<std::size_t>(limit);
-      net_tuning = true;
-    } else if (key == "--read-timeout-ms") {
-      opts.read_timeout_ms = cli::ParseDouble(kProg, key, value);
-      net_tuning = true;
-    } else if (key == "--duration") {
-      opts.load.duration_seconds = cli::ParseDouble(kProg, key, value);
-    } else if (key == "--cache-dir") {
-      opts.cache_dir = value;
-    } else if (key == "--window") {
-      opts.server.clic.window = cli::ParseU64(kProg, key, value);
-    } else if (key == "--churn-threshold") {
-      opts.server.clic.churn_threshold = cli::ParseDouble(kProg, key, value);
-    } else if (key == "--min-window") {
-      opts.server.clic.min_window = cli::ParseU64(kProg, key, value);
-    } else if (key == "--max-window") {
-      opts.server.clic.max_window = cli::ParseU64(kProg, key, value);
-    } else if (key == "--decay") {
-      opts.server.clic.decay = cli::ParseDouble(kProg, key, value);
-    } else if (key == "--outqueue") {
-      opts.server.clic.outqueue_per_page = cli::ParseDouble(kProg, key, value);
-    } else if (key == "--top-k") {
-      opts.server.clic.top_k =
-          static_cast<std::size_t>(cli::ParseU64(kProg, key, value));
-    } else if (key == "--tracker") {
-      if (value == "exact") {
-        opts.server.clic.tracker = TrackerKind::kExact;
-      } else if (value == "space_saving") {
-        opts.server.clic.tracker = TrackerKind::kSpaceSaving;
-      } else if (value == "lossy_counting") {
-        opts.server.clic.tracker = TrackerKind::kLossyCounting;
-      } else {
-        Die("unknown --tracker='" + value +
-            "' (valid: exact, space_saving, lossy_counting)");
-      }
-    } else if (key == "--format") {
-      if (value != "csv" && value != "json") {
-        Die("unknown --format='" + value + "' (want csv or json)");
-      }
-      opts.format = value;
-    } else if (key == "--output") {
-      opts.output = value;
-    } else {
-      Die("unrecognized flag '" + key + "'");
-    }
-  }
+    };
+  };
+  cli::FlagTable flags(
+      kProg, "--trace=NAME | --workload=SPEC [flags]",
+      {{"Workload",
+        {{"--trace", "NAME", "named trace to replay (see --list)",
+          set_workload("--trace")},
+         {"--workload", "SPEC",
+          "alias of --trace: a scenario preset or an inline spec like "
+          "'zipf:pages=120000,theta=0.9' (grammar in workload/scenario.h); "
+          "give exactly one of the two",
+          set_workload("--workload")},
+         cli::Real("--duration", "SEC",
+                   "run clients for SEC seconds instead of one pass "
+                   "(incompatible with --deterministic)",
+                   &opts.load.duration_seconds)}},
+       {"Server",
+        {{"--policy", "NAME",
+          "shard replacement policy (default LRU; OPT is clairvoyant and "
+          "not servable)",
+          [&opts](const char* prog, const std::string& value) {
+            opts.server.policy = cli::RequirePolicy(prog, "--policy", value);
+            if (opts.server.policy == PolicyKind::kOpt) {
+              Die("--policy=OPT: OPT is clairvoyant and cannot serve an "
+                  "online stream (valid policies: " +
+                  cli::KnownPolicyNames() + ", minus OPT)");
+            }
+          }},
+         cli::Uint("--shards", "S",
+                   "hash shards, each with its own policy (default 4)",
+                   &opts.server.shards, 4096),
+         cli::Uint("--cache-pages", "N",
+                   "total cache budget, split across shards (default 12000)",
+                   &opts.server.cache_pages),
+         cli::Uint("--clients", "C", "closed-loop client threads (default 4)",
+                   &opts.load.clients, 4096),
+         cli::Uint("--batch", "B", "requests per submitted batch (default 64)",
+                   &opts.load.batch_size),
+         cli::Uint("--consumers", "K",
+                   "owning-consumer (core) threads; shard s belongs to "
+                   "consumer s % K. Default: min(shards, hardware cores). "
+                   "Must be <= shards; 1 with --deterministic",
+                   &opts.server.consumers, 4096),
+         cli::Uint("--ring-capacity", "N",
+                   "per-(client,consumer) SPSC ring capacity in batches; a "
+                   "power of two >= 2 (default 256)",
+                   &opts.server.ring_capacity),
+         cli::Switch("--deterministic",
+                     "single consumer, strict client order: hit counts "
+                     "match per-shard sequential Simulate()",
+                     &opts.server.deterministic),
+         cli::Switch("--verify",
+                     "with --deterministic: check that equivalence "
+                     "in-process, exit 1 on any mismatch (a shedding fault "
+                     "plan's shed batches are left out of the baseline)",
+                     &opts.verify)}},
+       {"Overload resilience (all off by default)",
+        {cli::Uint("--queue-cap", "N", "max pending batches per client queue",
+                   &opts.server.queue_cap),
+         cli::Enum("--admission",
+                   "producer behaviour at a full queue (deadline needs "
+                   "--submit-timeout-ms)",
+                   &opts.server.admission,
+                   {{AdmissionPolicyName(AdmissionPolicy::kBlock),
+                     AdmissionPolicy::kBlock},
+                    {AdmissionPolicyName(AdmissionPolicy::kBlockWithDeadline),
+                     AdmissionPolicy::kBlockWithDeadline},
+                    {AdmissionPolicyName(AdmissionPolicy::kShed),
+                     AdmissionPolicy::kShed}}),
+         cli::Real("--submit-timeout-ms", "F",
+                   "wait bound for --admission=deadline",
+                   &opts.server.submit_timeout_ms),
+         cli::Real("--deadline-ms", "F",
+                   "drop batches older than this at drain time instead of "
+                   "serving them stale",
+                   &opts.server.batch_deadline_ms),
+         cli::Real("--watchdog-ms", "F",
+                   "shed batches routed at a shard whose in-flight drain "
+                   "exceeds this threshold",
+                   &opts.server.watchdog_ms),
+         {"--fault-plan", "SPEC",
+          "deterministic fault injection, e.g. "
+          "'stall:shard=0,after=10,drains=5,ms=50;shed:every=7;seed=42' "
+          "(grammar in server/fault_injection.h)",
+          [&opts](const char*, const std::string& value) {
+            std::string error;
+            if (!fault::ParseFaultPlan(value, &opts.fault_plan.emplace(),
+                                       &error)) {
+              Die(error);
+            }
+          }}}},
+       {"Network front end (server/net/ wire protocol over epoll)",
+        {{"--listen", "ADDR",
+          "serve the wire protocol on ADDR (default 127.0.0.1) until "
+          "SIGTERM/SIGINT, then drain gracefully",
+          [&opts](const char*, const std::string& value) {
+            opts.listen = true;
+            if (!value.empty()) opts.net.listen_addr = value;
+          },
+          /*optional_value=*/true},
+         cli::Switch("--connect",
+                     "loopback mode: replay the workload through real "
+                     "sockets to an in-process wire server on an ephemeral "
+                     "port; with --deterministic --verify this is the "
+                     "wire-level correctness gate",
+                     &opts.connect),
+         cli::Uint("--port", "N", "TCP port for --listen (0 = ephemeral)",
+                   &opts.net.port, 65535, /*allow_zero=*/true),
+         cli::Uint("--io-threads", "N",
+                   "connection threads (1 with --deterministic)",
+                   &opts.net.io_threads, 1024),
+         cli::Uint("--conn-limit", "N",
+                   "connection table bound == server client ports (default: "
+                   "clients for --connect, 64 for --listen); a full table "
+                   "sheds at accept time",
+                   &opts.net.conn_limit, 65536),
+         cli::Real("--read-timeout-ms", "F",
+                   "evict a connection whose partial frame is older than "
+                   "this (slowloris guard)",
+                   &opts.net.read_timeout_ms)}},
+       cli::ClicFlags(&opts.server.clic),
+       cli::RunFlags(&opts.run)});
+  flags.Parse(argc, argv);
+
   if (opts.trace.empty()) {
     Die("--trace (or --workload) is required (valid traces: " +
         cli::KnownWorkloadNames() + ")");
   }
   cli::RequireValidAdaptiveWindow(kProg, opts.server.clic);
+  const std::size_t ring = opts.server.ring_capacity;
+  if (ring < 2 || (ring & (ring - 1)) != 0) {
+    Die("--ring-capacity='" + std::to_string(ring) +
+        "' must be a power of two >= 2 (the ring masks instead of "
+        "dividing)");
+  }
   if (opts.verify && !opts.server.deterministic) {
     Die("--verify requires --deterministic (concurrent interleaving is "
         "timing-dependent by design)");
@@ -391,6 +232,9 @@ CliOptions Parse(int argc, char** argv) {
         "clients OR drive a loopback server (valid combinations: "
         "--listen [--port=N], --connect [--deterministic --verify])");
   }
+  const bool net_tuning = flags.Seen("--port") || flags.Seen("--io-threads") ||
+                          flags.Seen("--conn-limit") ||
+                          flags.Seen("--read-timeout-ms");
   if (net_tuning && !opts.listen && !opts.connect) {
     Die("--port/--io-threads/--conn-limit/--read-timeout-ms configure the "
         "network front end; add --listen (standalone server) or "
@@ -403,18 +247,21 @@ CliOptions Parse(int argc, char** argv) {
         "wire-level gate, --deterministic --verify for in-process, or "
         "--listen without --verify)");
   }
-  if (opts.connect && opts.server.deterministic && opts.io_threads > 1) {
+  if (opts.connect && opts.server.deterministic && opts.net.io_threads > 1) {
     Die("--deterministic wire serving runs exactly one io thread (slots "
         "are assigned in strict accept order); drop --io-threads=" +
-        std::to_string(opts.io_threads));
+        std::to_string(opts.net.io_threads));
   }
   if (opts.connect && opts.load.duration_seconds > 0.0) {
     Die("--connect replays one pass over the wire; --duration is not "
         "supported in loopback mode");
   }
-  if (opts.connect && opts.conn_limit > 0 &&
-      opts.conn_limit < opts.load.clients) {
-    Die("--conn-limit=" + std::to_string(opts.conn_limit) +
+  // Without --conn-limit, loopback mode sizes the table to the clients.
+  if (opts.connect && !flags.Seen("--conn-limit")) {
+    opts.net.conn_limit = std::max<std::size_t>(opts.load.clients, 1);
+  }
+  if (opts.connect && opts.net.conn_limit < opts.load.clients) {
+    Die("--conn-limit=" + std::to_string(opts.net.conn_limit) +
         " is below --clients=" + std::to_string(opts.load.clients) +
         " (every wire driver holds one connection; the table would shed "
         "drivers at accept time)");
@@ -423,12 +270,12 @@ CliOptions Parse(int argc, char** argv) {
     // --verify proves bit-identity against a sequential baseline; these
     // mechanisms are timing-dependent (watchdog, deadlines) or mutate
     // requests (corruption), so no baseline exists for them.
-    if (opts.has_fault_plan && opts.fault_plan.HasCorruption()) {
+    if (opts.fault_plan && opts.fault_plan->HasCorruption()) {
       Die("--verify cannot be combined with a corrupt: fault clause "
           "(corruption mutates served requests, so no fault-free baseline "
           "matches)");
     }
-    if (opts.has_fault_plan && opts.fault_plan.net_reset_every > 0) {
+    if (opts.fault_plan && opts.fault_plan->net_reset_every > 0) {
       Die("--verify cannot be combined with a net:reset fault clause (a "
           "reset truncates that connection's served stream, so no "
           "baseline matches; torn-write/partial-read/accept-stall only "
@@ -756,12 +603,7 @@ void PrintNetStats(const net::NetStats& n) {
 /// Standalone wire server (--listen): serve until SIGTERM/SIGINT, then
 /// drain gracefully and report the wire + admission ledgers.
 int RunListen(const CliOptions& opts) {
-  net::NetServerOptions nopts;
-  nopts.listen_addr = opts.listen_addr;
-  nopts.port = opts.port;
-  nopts.io_threads = opts.io_threads;
-  nopts.conn_limit = opts.conn_limit > 0 ? opts.conn_limit : 64;
-  nopts.read_timeout_ms = opts.read_timeout_ms;
+  net::NetServerOptions nopts = opts.net;
   nopts.server = opts.server;
   std::unique_ptr<net::NetServer> server;
   try {
@@ -801,14 +643,8 @@ int RunListen(const CliOptions& opts) {
 /// p50/p99); returns non-zero if the wire ledger does not balance.
 int RunWireServe(const CliOptions& opts, const Trace& trace,
                  std::uint64_t cap, ServeResult* result) {
-  net::NetServerOptions nopts;
-  nopts.listen_addr = "127.0.0.1";
-  nopts.port = 0;
-  nopts.io_threads = opts.io_threads;
-  nopts.conn_limit = opts.conn_limit > 0
-                         ? opts.conn_limit
-                         : std::max<std::size_t>(opts.load.clients, 1);
-  nopts.read_timeout_ms = opts.read_timeout_ms;
+  net::NetServerOptions nopts = opts.net;
+  nopts.port = 0;  // loopback binds an ephemeral port; --port is for --listen
   nopts.max_batch = std::max<std::size_t>(4096, opts.load.batch_size);
   nopts.server = opts.server;
   std::unique_ptr<net::NetServer> server;
@@ -907,12 +743,12 @@ int RunWireServe(const CliOptions& opts, const Trace& trace,
 
 int Main(int argc, char** argv) {
   CliOptions opts = Parse(argc, argv);
-  if (opts.has_fault_plan) opts.server.fault = &opts.fault_plan;
+  if (opts.fault_plan) opts.server.fault = &*opts.fault_plan;
 
-  const std::string dir =
-      opts.cache_dir.empty() ? sweep::CacheDirFromEnv() : opts.cache_dir;
+  const std::string dir = opts.run.cache_dir.empty() ? sweep::CacheDirFromEnv()
+                                                     : opts.run.cache_dir;
   const std::uint64_t cap =
-      opts.requests > 0 ? opts.requests : sweep::RequestCapFromEnv();
+      opts.run.requests > 0 ? opts.run.requests : sweep::RequestCapFromEnv();
   sweep::TraceCache cache(dir, cap);
   const Trace& trace = cache.Get(opts.trace);
 
@@ -937,15 +773,8 @@ int Main(int argc, char** argv) {
   LoadOptions load = opts.load;
   load.request_budget = cap;
 
-  std::FILE* out = stdout;
-  if (!opts.output.empty()) {
-    out = std::fopen(opts.output.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "clic_serve: cannot open '%s': %s\n",
-                   opts.output.c_str(), std::strerror(errno));
-      return 1;
-    }
-  }
+  std::FILE* out = cli::OpenOutput(kProg, opts.run.output);
+  if (out == nullptr) return 1;
 
   const std::size_t pages_per_shard =
       ShardCachePages(opts.server.cache_pages, opts.server.shards);
@@ -1013,25 +842,14 @@ int Main(int argc, char** argv) {
     }
   }
 
-  if (opts.format == "csv") {
+  if (opts.run.format == cli::Format::kCsv) {
     std::fprintf(out, "%s\n%s\n", CsvSummaryHeader().c_str(),
                  CsvSummaryRow(opts, result, pages_per_shard).c_str());
   } else {
     std::fprintf(out, "%s\n",
                  JsonSummary(opts, result, pages_per_shard).c_str());
   }
-  bool write_ok = std::ferror(out) == 0;
-  if (out != stdout) {
-    write_ok = std::fclose(out) == 0 && write_ok;
-  } else {
-    write_ok = std::fflush(out) == 0 && write_ok;
-  }
-  if (!write_ok) {
-    std::fprintf(stderr, "clic_serve: error writing %s: %s\n",
-                 opts.output.empty() ? "stdout" : opts.output.c_str(),
-                 std::strerror(errno));
-    return 1;
-  }
+  if (!cli::CloseOutput(kProg, out, opts.run.output)) return 1;
   std::fprintf(stderr,
                "clic_serve: %llu requests in %.3fs (%.0f req/s over %u "
                "consumer%s, %.0f req/s/core), p50 %.1fus p99 %.1fus, avg "

@@ -9,11 +9,10 @@
 // cache sizes) for every thread count, so outputs from different
 // --threads values diff clean (wall_seconds column aside).
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,8 +20,6 @@
 #include "common/cli_util.h"
 #include "sweep/sweep.h"
 #include "sweep/trace_cache.h"
-#include "workload/scenario.h"
-#include "workload/trace_factory.h"
 
 namespace clic::sweep {
 namespace {
@@ -31,307 +28,109 @@ constexpr char kProg[] = "clic_sweep";
 
 struct CliOptions {
   SweepSpec spec;
-  unsigned threads = 0;  // 0 = hardware concurrency
-  std::uint64_t requests = 0;  // 0 = CLIC_BENCH_REQUESTS / default
-  std::string cache_dir;       // empty = CLIC_TRACE_CACHE_DIR / default
-  std::string format = "csv";
-  std::string output;  // empty = stdout
+  unsigned threads = std::max(1u, std::thread::hardware_concurrency());
+  cli::RunOptions run;
 };
-
-/// Which CLIC option flags appeared explicitly on the command line. A
-/// --figure preset may carry its own CLIC options (the phase-shift grid
-/// ships a phase-tracking window/decay); explicit flags must beat the
-/// preset no matter where they appear relative to --figure, so the
-/// preset's options are merged field-by-field against this record.
-struct ClicFlagSet {
-  bool window = false;
-  bool decay = false;
-  bool outqueue = false;
-  bool top_k = false;
-  bool tracker = false;
-  bool charge_metadata = false;
-  bool adaptive_window = false;
-  bool churn_threshold = false;
-  bool min_window = false;
-  bool max_window = false;
-};
-
-void Usage(std::FILE* out) {
-  std::fprintf(
-      out,
-      "Usage: clic_sweep [flags]\n"
-      "\n"
-      "Grid selection (a --figure preset, explicit flags, or both —\n"
-      "explicit flags override the preset's corresponding field):\n"
-      "  --figure=NAME             preset grid, one of: %s\n"
-      "                            (6|7|8|ablation are the paper grids;\n"
-      "                            the rest are scenario grids)\n"
-      "  --traces=A,B              named traces or scenario presets\n"
-      "                            (see --list)\n"
-      "  --policies=LRU,CLIC       policy names (see --list)\n"
-      "  --cache-pages=6000,12000  server cache sizes, in pages\n",
-      ::clic::cli::KnownFigureNames().c_str());
-  std::fprintf(
-      out,
-      "\n"
-      "Execution:\n"
-      "  --threads=N        worker threads (default: hardware concurrency)\n"
-      "  --requests=N       cap trace length (overrides CLIC_BENCH_REQUESTS)\n"
-      "  --cache-dir=PATH   trace cache dir (overrides "
-      "CLIC_TRACE_CACHE_DIR)\n"
-      "\n"
-      "CLIC options (defaults are the paper's Section 6.1 setup):\n"
-      "  --window=W --decay=R --outqueue=N --no-charge-metadata\n"
-      "  --tracker=exact|space_saving|lossy_counting --top-k=K\n"
-      "  --adaptive-window  churn-triggered early window close (see\n"
-      "                     DESIGN.md \"Adaptive windowing\")\n"
-      "  --churn-threshold=S  early-close rank-similarity trigger in "
-      "[0, 1]\n"
-      "  --min-window=N --max-window=N  effective-window bounds\n"
-      "                     (defaults: window/16 and window)\n"
-      "\n"
-      "Output:\n"
-      "  --format=csv|json  csv: header + one line per point;\n"
-      "                     json: one array of row objects\n"
-      "  --output=FILE      default: stdout\n"
-      "  --list             print known traces and policies, then exit\n"
-      "  --help             this text\n");
-}
-
-[[noreturn]] void Die(const std::string& message) {
-  cli::Die(kProg, message);
-}
-
-std::uint64_t ParseU64(const std::string& flag, const std::string& value) {
-  return cli::ParseU64(kProg, flag, value);
-}
-
-double ParseDouble(const std::string& flag, const std::string& value) {
-  return cli::ParseDouble(kProg, flag, value);
-}
-
-void ValidateTraceNames(const std::vector<std::string>& names) {
-  for (const std::string& name : names) {
-    cli::RequireKnownWorkload(kProg, "--traces", name);
-  }
-}
-
-void ApplyFigurePreset(const std::string& figure, const ClicFlagSet& flags,
-                       SweepSpec* spec) {
-  const std::optional<SweepSpec> preset = FigureSpec(figure);
-  if (!preset) {
-    Die("unknown --figure='" + figure + "' (valid figures: " +
-        cli::KnownFigureNames() + ")");
-  }
-  spec->traces = preset->traces;
-  spec->policies = preset->policies;
-  spec->cache_sizes = preset->cache_sizes;
-  // The preset's CLIC options apply too, but an explicit flag beats
-  // them regardless of its position relative to --figure.
-  ClicOptions merged = preset->clic;
-  if (flags.window) merged.window = spec->clic.window;
-  if (flags.decay) merged.decay = spec->clic.decay;
-  if (flags.outqueue) merged.outqueue_per_page = spec->clic.outqueue_per_page;
-  if (flags.top_k) merged.top_k = spec->clic.top_k;
-  if (flags.tracker) merged.tracker = spec->clic.tracker;
-  if (flags.charge_metadata) {
-    merged.charge_metadata = spec->clic.charge_metadata;
-  }
-  if (flags.adaptive_window) merged.adaptive_window = spec->clic.adaptive_window;
-  if (flags.churn_threshold) merged.churn_threshold = spec->clic.churn_threshold;
-  if (flags.min_window) merged.min_window = spec->clic.min_window;
-  if (flags.max_window) merged.max_window = spec->clic.max_window;
-  spec->clic = merged;
-}
-
-void PrintList() {
-  std::printf("Traces (name dbms workload db_pages buffer_pages "
-              "target_requests):\n");
-  for (const NamedTraceInfo& info : NamedTraces()) {
-    std::printf("  %-9s %-5s %-4s %8llu %8llu %9llu\n", info.name.c_str(),
-                info.dbms.c_str(), info.workload.c_str(),
-                static_cast<unsigned long long>(info.db_pages),
-                static_cast<unsigned long long>(info.buffer_pages),
-                static_cast<unsigned long long>(info.target_requests));
-  }
-  std::printf("Scenario presets (workload/scenario.h; also usable as "
-              "--traces tokens):\n");
-  for (const ScenarioPreset& preset : ScenarioPresets()) {
-    std::printf("  %-13s %s\n      = %s\n", preset.name, preset.blurb,
-                preset.spec);
-  }
-  std::printf("Figure presets: %s\n",
-              ::clic::cli::KnownFigureNames().c_str());
-  std::printf("Policies:");
-  for (PolicyKind kind : AllPolicies()) {
-    std::printf(" %s", PolicyName(kind));
-  }
-  std::printf("\n");
-}
 
 CliOptions Parse(int argc, char** argv) {
-  CliOptions cli;
-  ClicFlagSet clic_flags;
-  std::string figure, traces, policies, cache_pages;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      Usage(stdout);
-      std::exit(0);
-    }
-    if (arg == "--list") {
-      PrintList();
-      std::exit(0);
-    }
-    if (arg == "--no-charge-metadata") {
-      cli.spec.clic.charge_metadata = false;
-      clic_flags.charge_metadata = true;
-      continue;
-    }
-    if (arg == "--adaptive-window") {
-      cli.spec.clic.adaptive_window = true;
-      clic_flags.adaptive_window = true;
-      continue;
-    }
-    const std::size_t eq = arg.find('=');
-    if (arg.rfind("--", 0) != 0 || eq == std::string::npos) {
-      Die("unrecognized argument '" + arg + "'");
-    }
-    const std::string key = arg.substr(0, eq);
-    const std::string value = arg.substr(eq + 1);
-    if (key == "--figure") {
-      figure = value;
-    } else if (key == "--traces") {
-      traces = value;
-    } else if (key == "--policies") {
-      policies = value;
-    } else if (key == "--cache-pages") {
-      cache_pages = value;
-    } else if (key == "--threads") {
-      const std::uint64_t threads = ParseU64(key, value);
-      if (threads > 4096) Die(key + "='" + value + "' is unreasonably large");
-      cli.threads = static_cast<unsigned>(threads);
-    } else if (key == "--requests") {
-      cli.requests = ParseU64(key, value);
-    } else if (key == "--cache-dir") {
-      cli.cache_dir = value;
-    } else if (key == "--window") {
-      cli.spec.clic.window = ParseU64(key, value);
-      clic_flags.window = true;
-    } else if (key == "--churn-threshold") {
-      cli.spec.clic.churn_threshold = ParseDouble(key, value);
-      clic_flags.churn_threshold = true;
-    } else if (key == "--min-window") {
-      cli.spec.clic.min_window = ParseU64(key, value);
-      clic_flags.min_window = true;
-    } else if (key == "--max-window") {
-      cli.spec.clic.max_window = ParseU64(key, value);
-      clic_flags.max_window = true;
-    } else if (key == "--decay") {
-      cli.spec.clic.decay = ParseDouble(key, value);
-      clic_flags.decay = true;
-    } else if (key == "--outqueue") {
-      cli.spec.clic.outqueue_per_page = ParseDouble(key, value);
-      clic_flags.outqueue = true;
-    } else if (key == "--top-k") {
-      cli.spec.clic.top_k = static_cast<std::size_t>(ParseU64(key, value));
-      clic_flags.top_k = true;
-    } else if (key == "--tracker") {
-      if (value == "exact") {
-        cli.spec.clic.tracker = TrackerKind::kExact;
-      } else if (value == "space_saving") {
-        cli.spec.clic.tracker = TrackerKind::kSpaceSaving;
-      } else if (value == "lossy_counting") {
-        cli.spec.clic.tracker = TrackerKind::kLossyCounting;
-      } else {
-        Die("unknown --tracker='" + value + "'");
-      }
-      clic_flags.tracker = true;
-    } else if (key == "--format") {
-      if (value != "csv" && value != "json") {
-        Die("unknown --format='" + value + "' (want csv or json)");
-      }
-      cli.format = value;
-    } else if (key == "--output") {
-      cli.output = value;
-    } else {
-      Die("unrecognized flag '" + key + "'");
-    }
-  }
+  CliOptions opts;
+  SweepSpec& spec = opts.spec;
+  std::string figure;
+  cli::FlagTable flags(
+      kProg, "[flags]",
+      {{"Grid selection (explicit flags override the --figure preset's "
+        "fields)",
+        {cli::String("--figure", "NAME",
+                     "preset grid, one of: " + cli::KnownFigureNames() +
+                         " (6|7|8|ablation are the paper grids; the rest "
+                         "are scenario grids)",
+                     &figure),
+         {"--traces", "A,B", "named traces or scenario presets (see --list)",
+          [&spec](const char* prog, const std::string& value) {
+            spec.traces = cli::SplitCsvFlag(prog, "--traces", value);
+            for (const std::string& name : spec.traces) {
+              cli::RequireKnownWorkload(prog, "--traces", name);
+            }
+          }},
+         {"--policies", "LRU,CLIC", "policy names (see --list)",
+          [&spec](const char* prog, const std::string& value) {
+            spec.policies.clear();
+            for (const std::string& name :
+                 cli::SplitCsvFlag(prog, "--policies", value)) {
+              spec.policies.push_back(
+                  cli::RequirePolicy(prog, "--policies", name));
+            }
+          }},
+         {"--cache-pages", "6000,12000", "server cache sizes, in pages",
+          [&spec](const char* prog, const std::string& value) {
+            spec.cache_sizes.clear();
+            for (const std::string& size :
+                 cli::SplitCsvFlag(prog, "--cache-pages", value)) {
+              spec.cache_sizes.push_back(static_cast<std::size_t>(
+                  cli::ParseUint(prog, "--cache-pages", size, SIZE_MAX)));
+            }
+          }}}},
+       {"Execution",
+        {cli::Uint("--threads", "N",
+                   "worker threads (default: hardware concurrency)",
+                   &opts.threads, 4096)}},
+       cli::ClicFlags(&spec.clic),
+       cli::RunFlags(&opts.run)});
+  flags.Parse(argc, argv);
 
-  if (!figure.empty()) ApplyFigurePreset(figure, clic_flags, &cli.spec);
-  if (!traces.empty()) {
-    cli.spec.traces = ::clic::cli::SplitCsvFlag(kProg, "--traces", traces);
-  }
-  if (!policies.empty()) {
-    cli.spec.policies.clear();
-    for (const std::string& name :
-         ::clic::cli::SplitCsvFlag(kProg, "--policies", policies)) {
-      cli.spec.policies.push_back(
-          ::clic::cli::RequirePolicy(kProg, "--policies", name));
+  if (!figure.empty()) {
+    const std::optional<SweepSpec> preset = FigureSpec(figure);
+    if (!preset) {
+      cli::Die(kProg, "unknown --figure='" + figure + "' (valid figures: " +
+                          cli::KnownFigureNames() + ")");
     }
+    // The preset carries its own grid and CLIC options (the phase-shift
+    // grid ships a phase-tracking window/decay); every explicit flag
+    // beats it, wherever it appeared relative to --figure.
+    spec = *preset;
+    flags.Replay();
   }
-  if (!cache_pages.empty()) {
-    cli.spec.cache_sizes.clear();
-    for (const std::string& size :
-         ::clic::cli::SplitCsvFlag(kProg, "--cache-pages", cache_pages)) {
-      cli.spec.cache_sizes.push_back(
-          static_cast<std::size_t>(ParseU64("--cache-pages", size)));
-    }
+  if (spec.traces.empty() || spec.policies.empty() ||
+      spec.cache_sizes.empty()) {
+    cli::Die(kProg,
+             "empty grid: need --figure or all of --traces/--policies/"
+             "--cache-pages");
   }
-  if (cli.spec.traces.empty() || cli.spec.policies.empty() ||
-      cli.spec.cache_sizes.empty()) {
-    Die("empty grid: need --figure or all of --traces/--policies/"
-        "--cache-pages");
-  }
-  ValidateTraceNames(cli.spec.traces);
-  cli::RequireValidAdaptiveWindow(kProg, cli.spec.clic);
-  return cli;
+  cli::RequireValidAdaptiveWindow(kProg, spec.clic);
+  return opts;
 }
 
 int Main(int argc, char** argv) {
-  const CliOptions cli = Parse(argc, argv);
+  const CliOptions opts = Parse(argc, argv);
 
-  const unsigned threads =
-      cli.threads > 0 ? cli.threads
-                      : std::max(1u, std::thread::hardware_concurrency());
   const std::string dir =
-      cli.cache_dir.empty() ? CacheDirFromEnv() : cli.cache_dir;
+      opts.run.cache_dir.empty() ? CacheDirFromEnv() : opts.run.cache_dir;
   const std::uint64_t cap =
-      cli.requests > 0 ? cli.requests : RequestCapFromEnv();
+      opts.run.requests > 0 ? opts.run.requests : RequestCapFromEnv();
   TraceCache cache(dir, cap);
 
   SweepRunner runner(
       [&cache](const std::string& name) -> const Trace& {
         return cache.Get(name);
       },
-      threads);
+      opts.threads);
 
-  // Open the output before the sweep: a bad --output path must fail in
-  // milliseconds, not after minutes of simulation.
-  std::FILE* out = stdout;
-  if (!cli.output.empty()) {
-    out = std::fopen(cli.output.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "clic_sweep: cannot open '%s': %s\n",
-                   cli.output.c_str(), std::strerror(errno));
-      return 1;
-    }
-  }
+  std::FILE* out = cli::OpenOutput(kProg, opts.run.output);
+  if (out == nullptr) return 1;
 
-  const std::size_t num_points = ExpandGrid(cli.spec).size();
+  const std::size_t num_points = ExpandGrid(opts.spec).size();
   std::fprintf(stderr,
                "clic_sweep: %zu points (%zu traces x %zu policies x %zu "
                "cache sizes), %u threads, request cap %llu\n",
-               num_points, cli.spec.traces.size(), cli.spec.policies.size(),
-               cli.spec.cache_sizes.size(), threads,
+               num_points, opts.spec.traces.size(), opts.spec.policies.size(),
+               opts.spec.cache_sizes.size(), opts.threads,
                static_cast<unsigned long long>(cap));
 
   const auto start = std::chrono::steady_clock::now();
-  const std::vector<SweepRow> rows = runner.Run(cli.spec);
+  const std::vector<SweepRow> rows = runner.Run(opts.spec);
   const std::chrono::duration<double> elapsed =
       std::chrono::steady_clock::now() - start;
-  if (cli.format == "csv") {
+  if (opts.run.format == cli::Format::kCsv) {
     std::fprintf(out, "%s\n", CsvHeader().c_str());
     for (const SweepRow& row : rows) {
       std::fprintf(out, "%s\n", CsvRow(row).c_str());
@@ -344,20 +143,7 @@ int Main(int argc, char** argv) {
     }
     std::fprintf(out, "]\n");
   }
-  // A failed write (e.g. ENOSPC) must not exit 0 with a truncated
-  // file; the flush on fclose can be the first call to see the error.
-  bool write_ok = std::ferror(out) == 0;
-  if (out != stdout) {
-    write_ok = std::fclose(out) == 0 && write_ok;
-  } else {
-    write_ok = std::fflush(out) == 0 && write_ok;
-  }
-  if (!write_ok) {
-    std::fprintf(stderr, "clic_sweep: error writing %s: %s\n",
-                 cli.output.empty() ? "stdout" : cli.output.c_str(),
-                 std::strerror(errno));
-    return 1;
-  }
+  if (!cli::CloseOutput(kProg, out, opts.run.output)) return 1;
 
   std::fprintf(stderr, "clic_sweep: done in %.2fs wall\n", elapsed.count());
   return 0;

@@ -74,6 +74,8 @@ expect_reject "clic_sweep unknown flag" "--bogus" "help" -- \
   "$SWEEP" --bogus=1
 expect_reject "clic_sweep bad thread count" "abc" "positive integer" -- \
   "$SWEEP" --figure=6 --threads=abc
+expect_reject "clic_sweep unknown tracker" "bogus" "lossy_counting" -- \
+  "$SWEEP" --figure=6 --tracker=bogus
 
 expect_reject "clic_serve unknown trace" "NOPE" "DB2_C60" -- \
   "$SERVE" --trace=NOPE
@@ -134,8 +136,6 @@ expect_reject "clic_serve deterministic with multiple consumers" "--consumers=2"
   "$SERVE" --trace=DB2_C60 --deterministic --consumers=2
 expect_reject "clic_serve non-power-of-two ring capacity" "96" "power of two" -- \
   "$SERVE" --trace=DB2_C60 --ring-capacity=96
-expect_reject "clic_serve unknown ownership assignment" "bogus" "stripe, block" -- \
-  "$SERVE" --trace=DB2_C60 --owned-shards=bogus
 
 # Network front-end flags (PR 9): numeric garbage fails fast before a
 # socket is opened, net tuning without a net mode is a typo, and the
@@ -196,6 +196,13 @@ expect_reject "clic_serve inverted window bounds" "--min-window=9" "min-window <
   "$SERVE" --trace=DB2_C60 --adaptive-window --min-window=9 --max-window=3
 expect_reject "clic_serve adaptive with zero window" "--window" "positive integer" -- \
   "$SERVE" --trace=DB2_C60 --adaptive-window --window=0
+
+# Decay above 1 makes the accumulator acc = window + decay * acc grow
+# without bound until priorities turn NaN, so both tools reject it.
+expect_reject "clic_sweep decay above one" "--decay='7'" "[0, 1]" -- \
+  "$SWEEP" --traces=DB2_C60 --policies=CLIC --cache-pages=100 --decay=7
+expect_reject "clic_serve decay above one" "--decay='1.5'" "[0, 1]" -- \
+  "$SERVE" --trace=DB2_C60 --policy=CLIC --decay=1.5
 
 # Batch larger than the request budget is a typo, not a workload. This
 # one loads (a tiny capped slice of) the trace, so point the cache at a

@@ -162,7 +162,7 @@ TEST(CacheServerTest, ConcurrentModeAppliesEveryRequestExactlyOnce) {
   options.shards = 4;
   options.cache_pages = 96;
   options.policy = PolicyKind::kLru;
-  options.max_consumers = 3;
+  options.consumers = 3;
   LoadOptions load;
   load.clients = 4;
   load.batch_size = 33;
@@ -275,81 +275,63 @@ TEST(CacheServerTopologyTest, RejectsImpossibleTopologies) {
 }
 
 // OwnerOf is the whole concurrency argument: every shard has exactly
-// one owner, stripe interleaves, block keeps each owner's shards
-// contiguous, and both hand every consumer at least one shard.
+// one owner, the stripe interleaves, and every consumer owns at least
+// one shard.
 TEST(CacheServerTopologyTest, OwnerOfPartitionsShardsExhaustively) {
   ServerOptions options;
   options.shards = 6;
   options.cache_pages = 48;
-  for (ShardAssignment assignment :
-       {ShardAssignment::kStripe, ShardAssignment::kBlock}) {
-    for (unsigned consumers : {1u, 2u, 3u, 4u, 6u}) {
-      SCOPED_TRACE(std::string(ShardAssignmentName(assignment)) +
-                   " consumers=" + std::to_string(consumers));
-      ServerOptions topo = options;
-      topo.assignment = assignment;
-      topo.consumers = consumers;
-      CacheServer server(topo, 1);
-      EXPECT_EQ(server.consumers(), consumers);
-      std::map<std::uint32_t, std::vector<std::size_t>> owned;
-      for (std::size_t s = 0; s < topo.shards; ++s) {
-        const std::uint32_t owner = server.OwnerOf(s);
-        ASSERT_LT(owner, consumers);
-        owned[owner].push_back(s);
-        if (assignment == ShardAssignment::kStripe) {
-          EXPECT_EQ(owner, s % consumers);
-        }
-      }
-      EXPECT_EQ(owned.size(), consumers) << "an ownerless consumer idles";
-      if (assignment == ShardAssignment::kBlock) {
-        for (const auto& [owner, shards] : owned) {
-          EXPECT_EQ(shards.back() - shards.front() + 1, shards.size())
-              << "block ownership must be contiguous";
-        }
-      }
-      server.Stop();
+  for (unsigned consumers : {1u, 2u, 3u, 4u, 6u}) {
+    SCOPED_TRACE("consumers=" + std::to_string(consumers));
+    ServerOptions topo = options;
+    topo.consumers = consumers;
+    CacheServer server(topo, 1);
+    EXPECT_EQ(server.consumers(), consumers);
+    std::map<std::uint32_t, std::vector<std::size_t>> owned;
+    for (std::size_t s = 0; s < topo.shards; ++s) {
+      const std::uint32_t owner = server.OwnerOf(s);
+      ASSERT_LT(owner, consumers);
+      owned[owner].push_back(s);
+      EXPECT_EQ(owner, s % consumers);
     }
+    EXPECT_EQ(owned.size(), consumers) << "an ownerless consumer idles";
+    server.Stop();
   }
 }
 
-// Every explicit topology — pinned consumer counts under both
-// assignments, tiny rings forcing producer backpressure — must apply
-// every request exactly once with an exact admission ledger.
+// Every explicit topology — pinned consumer counts, tiny rings forcing
+// producer backpressure — must apply every request exactly once with an
+// exact admission ledger.
 TEST(CacheServerTopologyTest, ExplicitTopologiesApplyEveryRequestExactlyOnce) {
   const Trace trace = MakeSynthetic("topo", 61, 6000, 3);
   std::uint64_t reads = 0, writes = 0;
   for (const Request& r : trace.requests) {
     (r.op == OpType::kRead ? reads : writes) += 1;
   }
-  for (ShardAssignment assignment :
-       {ShardAssignment::kStripe, ShardAssignment::kBlock}) {
-    for (unsigned consumers : {1u, 2u, 4u}) {
-      SCOPED_TRACE(std::string(ShardAssignmentName(assignment)) +
-                   " consumers=" + std::to_string(consumers));
-      ServerOptions options;
-      options.shards = 4;
-      options.cache_pages = 96;
-      options.policy = PolicyKind::kClic;
-      options.clic.window = 400;
-      options.consumers = consumers;
-      options.assignment = assignment;
-      options.ring_capacity = 4;  // tiny: producers hit ring-full a lot
-      LoadOptions load;
-      load.clients = 3;
-      load.batch_size = 33;
-      const ServeResult served = ServeTrace(trace, options, load);
-      EXPECT_EQ(served.requests, trace.size());
-      EXPECT_EQ(served.total.reads, reads);
-      EXPECT_EQ(served.total.writes, writes);
-      EXPECT_EQ(served.consumers, consumers);
-      ASSERT_EQ(served.per_consumer_requests.size(), consumers);
-      std::uint64_t per_consumer_total = 0;
-      for (const std::uint64_t n : served.per_consumer_requests) {
-        per_consumer_total += n;
-      }
-      EXPECT_EQ(per_consumer_total, trace.size())
-          << "owning consumers must account for every applied request";
+  for (unsigned consumers : {1u, 2u, 4u}) {
+    SCOPED_TRACE("consumers=" + std::to_string(consumers));
+    ServerOptions options;
+    options.shards = 4;
+    options.cache_pages = 96;
+    options.policy = PolicyKind::kClic;
+    options.clic.window = 400;
+    options.consumers = consumers;
+    options.ring_capacity = 4;  // tiny: producers hit ring-full a lot
+    LoadOptions load;
+    load.clients = 3;
+    load.batch_size = 33;
+    const ServeResult served = ServeTrace(trace, options, load);
+    EXPECT_EQ(served.requests, trace.size());
+    EXPECT_EQ(served.total.reads, reads);
+    EXPECT_EQ(served.total.writes, writes);
+    EXPECT_EQ(served.consumers, consumers);
+    ASSERT_EQ(served.per_consumer_requests.size(), consumers);
+    std::uint64_t per_consumer_total = 0;
+    for (const std::uint64_t n : served.per_consumer_requests) {
+      per_consumer_total += n;
     }
+    EXPECT_EQ(per_consumer_total, trace.size())
+        << "owning consumers must account for every applied request";
   }
 }
 
