@@ -109,70 +109,54 @@ void ClicPolicy::Annotate(Slot& slot, HintSetId hint, SeqNum now) {
 
 // ---- intrusive lists ------------------------------------------------------
 
-void ClicPolicy::GListPushFront(List& list, std::uint32_t i) {
-  slots_[i].g_prev = kInvalidIndex;
-  slots_[i].g_next = list.head;
-  if (list.head != kInvalidIndex) slots_[list.head].g_prev = i;
+void ClicPolicy::ListPushFront(List& list, std::uint32_t i) {
+  slots_[i].prev = kInvalidIndex;
+  slots_[i].next = list.head;
+  if (list.head != kInvalidIndex) {
+    slots_[list.head].prev = i;
+  } else {
+    list.tail = i;
+  }
   list.head = i;
-  if (list.tail == kInvalidIndex) list.tail = i;
   ++list.size;
 }
 
-void ClicPolicy::GListRemove(List& list, std::uint32_t i) {
-  if (slots_[i].g_prev != kInvalidIndex) {
-    slots_[slots_[i].g_prev].g_next = slots_[i].g_next;
+void ClicPolicy::ListPushBack(List& list, std::uint32_t i) {
+  slots_[i].next = kInvalidIndex;
+  slots_[i].prev = list.tail;
+  if (list.tail != kInvalidIndex) {
+    slots_[list.tail].next = i;
   } else {
-    list.head = slots_[i].g_next;
+    list.head = i;
   }
-  if (slots_[i].g_next != kInvalidIndex) {
-    slots_[slots_[i].g_next].g_prev = slots_[i].g_prev;
+  list.tail = i;
+  ++list.size;
+}
+
+void ClicPolicy::ListRemove(List& list, std::uint32_t i) {
+  Slot& s = slots_[i];
+  if (s.prev != kInvalidIndex) {
+    slots_[s.prev].next = s.next;
   } else {
-    list.tail = slots_[i].g_prev;
+    list.head = s.next;
   }
-  slots_[i].g_prev = slots_[i].g_next = kInvalidIndex;
+  if (s.next != kInvalidIndex) {
+    slots_[s.next].prev = s.prev;
+  } else {
+    list.tail = s.prev;
+  }
+  s.prev = s.next = kInvalidIndex;
   --list.size;
 }
 
-std::uint32_t ClicPolicy::GListPopBack(List& list) {
-  const std::uint32_t i = list.tail;
-  GListRemove(list, i);
-  return i;
-}
-
 void ClicPolicy::BucketPushFront(std::uint32_t rank, std::uint32_t i) {
-  List& b = buckets_[rank];
-  slots_[i].b_prev = kInvalidIndex;
-  slots_[i].b_next = b.head;
-  if (b.head != kInvalidIndex) slots_[b.head].b_prev = i;
-  b.head = i;
-  if (b.tail == kInvalidIndex) b.tail = i;
-  if (++b.size == 1) BitmapSet(rank);
-}
-
-void ClicPolicy::BucketPushBack(std::uint32_t rank, std::uint32_t i) {
-  List& b = buckets_[rank];
-  slots_[i].b_next = kInvalidIndex;
-  slots_[i].b_prev = b.tail;
-  if (b.tail != kInvalidIndex) slots_[b.tail].b_next = i;
-  b.tail = i;
-  if (b.head == kInvalidIndex) b.head = i;
-  if (++b.size == 1) BitmapSet(rank);
+  ListPushFront(buckets_[rank], i);
+  if (buckets_[rank].size == 1) BitmapSet(rank);
 }
 
 void ClicPolicy::BucketRemove(std::uint32_t rank, std::uint32_t i) {
-  List& b = buckets_[rank];
-  if (slots_[i].b_prev != kInvalidIndex) {
-    slots_[slots_[i].b_prev].b_next = slots_[i].b_next;
-  } else {
-    b.head = slots_[i].b_next;
-  }
-  if (slots_[i].b_next != kInvalidIndex) {
-    slots_[slots_[i].b_next].b_prev = slots_[i].b_prev;
-  } else {
-    b.tail = slots_[i].b_prev;
-  }
-  slots_[i].b_prev = slots_[i].b_next = kInvalidIndex;
-  if (--b.size == 0) BitmapClear(rank);
+  ListRemove(buckets_[rank], i);
+  if (buckets_[rank].size == 0) BitmapClear(rank);
 }
 
 void ClicPolicy::BitmapSet(std::uint32_t rank) {
@@ -207,15 +191,16 @@ void ClicPolicy::EvictOne(SeqNum now) {
   const std::uint32_t rank = FindVictimRank();
   const std::uint32_t si = buckets_[rank].tail;
   BucketRemove(rank, si);
-  GListRemove(global_, si);
+  --cached_;
   Slot& s = slots_[si];
   if (outqueue_capacity_ > 0) {
     // The page's metadata stays tracked in the outqueue so a re-reference
     // still credits its hint set.
     s.state = SlotState::kOutqueue;
-    GListPushFront(outqueue_, si);
+    ListPushFront(outqueue_, si);
     if (outqueue_.size > outqueue_capacity_) {
-      const std::uint32_t drop = GListPopBack(outqueue_);
+      const std::uint32_t drop = outqueue_.tail;
+      ListRemove(outqueue_, drop);
       Slot& d = slots_[drop];
       FlushArea(d.hint, now);
       --hints_.cur[d.hint];
@@ -233,12 +218,19 @@ void ClicPolicy::EvictOne(SeqNum now) {
 }
 
 void ClicPolicy::InsertCached(std::uint32_t slot_index, SeqNum now) {
-  if (global_.size >= cache_capacity_) EvictOne(now);
+  if (cached_ >= cache_capacity_) EvictOne(now);
   Slot& s = slots_[slot_index];
   s.state = SlotState::kCached;
-  GListPushFront(global_, slot_index);
+  s.stamp = ++clock_;
+  ++cached_;
   BucketPushFront(hints_.rank[s.hint], slot_index);
 }
+
+namespace {
+/// Third prefetch stage of the batch pipeline: the list neighbours of
+/// the slot request i + kBatchSpliceDistance will splice.
+constexpr std::size_t kBatchSpliceDistance = 2;
+}  // namespace
 
 // clic-lint: hot-path
 bool ClicPolicy::Access(const Request& r, SeqNum seq) {
@@ -325,18 +317,30 @@ template <int kTracker>
 void ClicPolicy::RunBatchSpan(const Request* reqs, SeqNum first_seq,
                               std::size_t begin, std::size_t end,
                               std::size_t n, std::uint8_t* hits_out) {
+  // Three prefetch stages, each reading what the previous one warmed.
+  // All are advisory: an intervening remap or splice only wastes a
+  // prefetch, never changes a decision.
   for (std::size_t i = begin; i < end; ++i) {
     if (i + kBatchPrefetchDistance < n) {
       page_table_.Prefetch(reqs[i + kBatchPrefetchDistance].page);
     }
     if (i + kBatchNodeDistance < n) {
-      // The table slot prefetched kBatchPrefetchDistance ago is warm;
-      // chase it now so the 28-byte Slot is warm too when its request
-      // arrives. Purely advisory — an intervening remap only wastes the
-      // prefetch, never a decision.
+      // The table entry prefetched kBatchPrefetchDistance ago is warm;
+      // chase it so the Slot is warm when its request arrives.
       const std::uint32_t ahead =
           page_table_.Get(reqs[i + kBatchNodeDistance].page);
       if (ahead != kInvalidIndex) __builtin_prefetch(&slots_[ahead], 0, 1);
+    }
+    if (i + kBatchSpliceDistance < n) {
+      // The Slot chased kBatchNodeDistance ago is warm; prefetch its
+      // list neighbours, which the bucket (or outqueue) splice writes.
+      const std::uint32_t ahead =
+          page_table_.Get(reqs[i + kBatchSpliceDistance].page);
+      if (ahead != kInvalidIndex) {
+        const Slot& s = slots_[ahead];
+        if (s.prev != kInvalidIndex) __builtin_prefetch(&slots_[s.prev], 1, 1);
+        if (s.next != kInvalidIndex) __builtin_prefetch(&slots_[s.next], 1, 1);
+      }
     }
     hits_out[i] = AccessOneT<kTracker>(reqs[i], first_seq + i);
   }
@@ -345,6 +349,11 @@ void ClicPolicy::RunBatchSpan(const Request* reqs, SeqNum first_seq,
 // clic-lint: hot-path
 void ClicPolicy::AccessBatch(const Request* reqs, SeqNum first_seq,
                              std::size_t n, std::uint8_t* hits_out) {
+  // Prologue: the span loop prefetches the table entry of request
+  // i + kBatchPrefetchDistance, so without this the first entries of
+  // every batch would be demand-loaded — most of a short served slice.
+  const std::size_t warm = std::min(n, kBatchPrefetchDistance);
+  for (std::size_t i = 0; i < warm; ++i) page_table_.Prefetch(reqs[i].page);
   std::size_t i = 0;
   while (i < n) {
     const SeqNum seq = first_seq + i;
@@ -406,16 +415,16 @@ inline bool ClicPolicy::AccessOneT(const Request& r, SeqNum seq) {
     if (s.state == SlotState::kCached) {
       const std::uint32_t old_rank = hints_.rank[s.hint];
       Annotate(s, r.hint_set, seq);
-      if (global_.head != si) {
-        GListRemove(global_, si);
-        GListPushFront(global_, si);
+      s.stamp = ++clock_;
+      const std::uint32_t rank = hints_.rank[s.hint];
+      if (rank != old_rank || buckets_[rank].head != si) {
+        BucketRemove(old_rank, si);
+        BucketPushFront(rank, si);
       }
-      BucketRemove(old_rank, si);
-      BucketPushFront(hints_.rank[s.hint], si);
       return true;
     }
     // Outqueue hit: a miss for the cache, but the page re-enters it.
-    GListRemove(outqueue_, si);
+    ListRemove(outqueue_, si);
     Annotate(s, r.hint_set, seq);
     InsertCached(si, seq);
     return false;
@@ -430,7 +439,6 @@ inline bool ClicPolicy::AccessOneT(const Request& r, SeqNum seq) {
   Slot& s = slots_[node];
   s.page = r.page;
   s.hint = r.hint_set;
-  s.g_prev = s.g_next = s.b_prev = s.b_next = kInvalidIndex;
   page_table_.Set(r.page, node);
   InsertCached(node, seq);
   return false;
@@ -498,7 +506,8 @@ void ClicPolicy::SetPriority(HintSetId h, double priority) {
     pos_index_[last] = idx;
     positive_.pop_back();
     pos_index_[h] = kInvalidIndex;
-    hints_.rank[h] = 0;  // leaves the ranked set; rank 0 = evict first
+    // hints_.rank[h] keeps its old value until RelabelBuckets, which
+    // needs it to find the bucket list the hint leaves behind.
   }
 }
 
@@ -676,22 +685,7 @@ void ClicPolicy::EndWindow(SeqNum end) {
     }
   }
 
-  // Rank hint sets: rank 0 collects everything with zero priority (those
-  // pages are evicted first, in global-LRU order); positive priorities
-  // get ranks in ascending order. positive_ is exactly the set the
-  // full scan would have collected; sorting (priority, id) pairs makes
-  // the order independent of how the set was accumulated.
-  rank_scratch_.clear();
-  rank_scratch_.reserve(positive_.size());
-  for (HintSetId h : positive_) {
-    rank_scratch_.emplace_back(hints_.priority[h], h);
-  }
-  std::sort(rank_scratch_.begin(), rank_scratch_.end());
-  num_ranks_ = static_cast<std::uint32_t>(rank_scratch_.size()) + 1;
-  for (std::uint32_t i = 0; i < rank_scratch_.size(); ++i) {
-    hints_.rank[rank_scratch_[i].second] = i + 1;
-  }
-  RebuildBuckets();
+  RelabelBuckets();
 
   // Reset candidates' window statistics and reseed the next window's
   // candidate list with hint sets that still annotate tracked pages
@@ -730,16 +724,80 @@ void ClicPolicy::EndWindow(SeqNum end) {
   }
 }
 
-void ClicPolicy::RebuildBuckets() {
-  buckets_.assign(num_ranks_, List{});
+// Rank hint sets: rank 0 collects everything with zero priority (those
+// pages are evicted first, least recently used first); positive
+// priorities get ranks 1..k in ascending (priority, id) order, so each
+// positive rank holds exactly one hint set. positive_ is exactly the
+// set a full scan would collect, and sorting the pairs makes the order
+// independent of how the set was accumulated.
+//
+// Bucket contents follow from two invariants: a cached slot sits in the
+// bucket of its hint's rank, and every bucket is in descending stamp
+// (= recency) order. A hint ranked before and after the close keeps
+// its whole list, so only the List header moves. Membership changes
+// only where a hint crosses rank 0: a hint leaving the ranked set pours
+// its list into bucket 0, and a newly ranked hint takes its pages out
+// of bucket 0. Then bucket 0 and the fallen lists are gathered, sorted
+// by stamp (descending) and pushed back to their new buckets. Stamps
+// are unique, so each bucket ends in exactly the order a walk over all
+// cached pages, most recent first, would have produced.
+void ClicPolicy::RelabelBuckets() {
+  bool crossing = false;
+  resort_.clear();
+  const auto gather = [this](const List& list) {
+    for (std::uint32_t i = list.head; i != kInvalidIndex;
+         i = slots_[i].next) {
+      resort_.emplace_back(slots_[i].stamp, i);
+    }
+  };
+  // Previous ranking: ranked_[r - 1] still names rank r's hint.
+  for (std::uint32_t r = 1; r < num_ranks_; ++r) {
+    const HintSetId h = ranked_[r - 1].second;
+    if (pos_index_[h] != kInvalidIndex) continue;
+    crossing = true;
+    hints_.rank[h] = 0;
+    gather(buckets_[r]);
+  }
+
+  ranked_.clear();
+  ranked_.reserve(positive_.size());
+  for (HintSetId h : positive_) {
+    ranked_.emplace_back(hints_.priority[h], h);
+  }
+  std::sort(ranked_.begin(), ranked_.end());
+  const std::uint32_t ranks =
+      static_cast<std::uint32_t>(ranked_.size()) + 1;
+  next_buckets_.assign(ranks, List{});
+  for (std::uint32_t r = 1; r < ranks; ++r) {
+    const HintSetId h = ranked_[r - 1].second;
+    const std::uint32_t old = hints_.rank[h];
+    if (old != 0) {
+      next_buckets_[r] = buckets_[old];
+    } else {
+      crossing = true;
+    }
+    hints_.rank[h] = r;
+  }
+
+  if (crossing) {
+    gather(buckets_[0]);
+    std::sort(resort_.begin(), resort_.end(),
+              [](const auto& a, const auto& b) { return a.first > b.first; });
+    for (const auto& entry : resort_) {
+      const std::uint32_t i = entry.second;
+      ListPushBack(next_buckets_[hints_.rank[slots_[i].hint]], i);
+    }
+  } else {
+    next_buckets_[0] = buckets_[0];
+  }
+  buckets_.swap(next_buckets_);
+  num_ranks_ = ranks;
+
   const std::size_t words = (num_ranks_ + 63) / 64;
   bitmap_.assign(words, 0);
   bitmap_summary_.assign((words + 63) / 64, 0);
-  // Walk the global list MRU-first so every bucket keeps exact recency
-  // order (front = most recent).
-  for (std::uint32_t i = global_.head; i != kInvalidIndex;
-       i = slots_[i].g_next) {
-    BucketPushBack(hints_.rank[slots_[i].hint], i);
+  for (std::uint32_t r = 0; r < num_ranks_; ++r) {
+    if (buckets_[r].size != 0) BitmapSet(r);
   }
 }
 

@@ -9,8 +9,8 @@
 // H's caching priority for the next window. Victims are chosen from the
 // lowest-priority non-empty rank bucket, so the steady-state access path
 // is constant time: a flat page-table lookup, O(1) annotation/statistics
-// updates, two intrusive list splices, and a two-level-bitmap scan for
-// the victim rank on misses. No heap allocation happens per request.
+// updates, one rank-bucket splice, and a two-level-bitmap scan for the
+// victim rank on misses. No heap allocation happens per request.
 #pragma once
 
 #include <cstdint>
@@ -111,16 +111,22 @@ class ClicPolicy : public Policy {
 
  private:
   // Slots live in one flat arena covering cache + outqueue residents.
-  // `g_*` links thread the global recency list (cached) or the outqueue
-  // FIFO; `b_*` links thread the slot's rank-bucket list (cached only).
+  // A slot is in exactly one list at a time, threaded through its one
+  // prev/next pair: a cached slot sits in its hint's rank bucket (MRU
+  // at the head), an outqueue slot in the outqueue FIFO. `stamp`
+  // orders slots by their last insert or hit, and every bucket is kept
+  // in descending stamp order, which is all the window close needs to
+  // relabel and merge buckets. 32 bytes and 32-aligned, so two slots
+  // share a cache line and none straddles one.
   enum class SlotState : std::uint8_t { kFree, kCached, kOutqueue };
-  struct Slot {
+  struct alignas(32) Slot {
+    SeqNum stamp = 0;  // clock_ at the last insert or hit (unique)
     PageId page = 0;
     HintSetId hint = 0;
-    std::uint32_t g_prev = kInvalidIndex, g_next = kInvalidIndex;
-    std::uint32_t b_prev = kInvalidIndex, b_next = kInvalidIndex;
+    std::uint32_t prev = kInvalidIndex, next = kInvalidIndex;
     SlotState state = SlotState::kFree;
   };
+  static_assert(sizeof(Slot) == 32, "two slots per cache line");
   struct List {
     std::uint32_t head = kInvalidIndex;  // MRU / newest
     std::uint32_t tail = kInvalidIndex;  // LRU / oldest
@@ -173,7 +179,11 @@ class ClicPolicy : public Policy {
   /// shift is not diluted by pre-shift mass.
   double ChurnSimilarity();
   void EndWindow(SeqNum end);
-  void RebuildBuckets();
+  /// Re-ranks the positive set by (priority, id) and moves the bucket
+  /// lists to match: a hint that stays ranked carries its list to the
+  /// new rank; only when a hint crosses rank 0 are bucket 0 and the
+  /// fallen hints' lists re-sorted by stamp and redistributed.
+  void RelabelBuckets();
   void EvictOne(SeqNum now);
   void InsertCached(std::uint32_t slot_index, SeqNum now);
   std::uint32_t FindVictimRank() const;
@@ -223,12 +233,12 @@ class ClicPolicy : public Policy {
   /// quality (the decay blend accumulates across windows either way).
   static constexpr std::uint64_t kStableClosesToGrow = 2;
 
-  // Intrusive list helpers over slots_.
-  void GListPushFront(List& list, std::uint32_t i);
-  void GListRemove(List& list, std::uint32_t i);
-  std::uint32_t GListPopBack(List& list);
+  // Intrusive list helpers over slots_ (prev/next links). The Bucket*
+  // variants also keep the non-empty-bucket bitmap in step.
+  void ListPushFront(List& list, std::uint32_t i);
+  void ListPushBack(List& list, std::uint32_t i);
+  void ListRemove(List& list, std::uint32_t i);
   void BucketPushFront(std::uint32_t rank, std::uint32_t i);
-  void BucketPushBack(std::uint32_t rank, std::uint32_t i);
   void BucketRemove(std::uint32_t rank, std::uint32_t i);
 
   void BitmapSet(std::uint32_t rank);
@@ -241,11 +251,15 @@ class ClicPolicy : public Policy {
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   PageTable page_table_;
-  List global_;    // cached pages, MRU at head
-  List outqueue_;  // evicted metadata, newest at head
+  List outqueue_;           // evicted metadata, newest at head
+  std::size_t cached_ = 0;  // slots in state kCached
+  /// Source of slot stamps: bumped on every insert or hit, so stamps
+  /// are unique whatever seqs the caller passes.
+  SeqNum clock_ = 0;
 
   HintStats hints_;
   std::vector<List> buckets_;            // one per rank
+  std::vector<List> next_buckets_;       // RelabelBuckets scratch
   std::vector<std::uint64_t> bitmap_;    // non-empty-bucket bits
   std::vector<std::uint64_t> bitmap_summary_;
   std::uint32_t num_ranks_ = 1;
@@ -259,7 +273,10 @@ class ClicPolicy : public Policy {
   std::vector<std::uint32_t> pos_index_;       // position in positive_
   std::vector<std::uint8_t> eligible_;         // per-window scratch
   std::vector<double> win_r_, win_s_;          // per-window scratch
-  std::vector<std::pair<double, HintSetId>> rank_scratch_;
+  /// (priority, id) of the ranked hints in ascending order: entry r-1
+  /// holds rank r's hint until the next RelabelBuckets.
+  std::vector<std::pair<double, HintSetId>> ranked_;
+  std::vector<std::pair<SeqNum, std::uint32_t>> resort_;  // (stamp, slot)
 
   SeqNum window_start_ = 0;
   SeqNum next_window_end_;

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
+#include <utility>
 
 #include "core/hint_tree.h"
 
@@ -144,6 +146,51 @@ TEST(ClicWindowTest, ColdStartEvictsGlobalLru) {
   EXPECT_FALSE(d.Read(3, kA));  // evicts page 1 (global LRU)
   EXPECT_TRUE(d.Read(2, kB));
   EXPECT_FALSE(d.Read(1, kA));
+}
+
+TEST(ClicWindowTest, RankZeroCrossingKeepsRecencyOrder) {
+  // Decay 0 ranks hint sets on the closing window alone. Cache of 6,
+  // window 8; the number after each access is its seq.
+  //   window 1: p1 A 0, p2 C 1, p3 B 2, p4 A 3, p5 B 4 (misses),
+  //             p1 A 5, p4 A 6 (hits, R_A = 2), p6 C 7 (miss)
+  //   close at 8: A is ranked (rank 1); B and C stay at rank 0.
+  //   window 2: p5 B 8, then p3 B 9..15 (hits, R_B = 8). A's pages are
+  //             idle but still annotated, so A is a candidate with R 0.
+  //   close at 16: A falls to rank 0 while B is ranked for the first
+  //             time. A's and C's pages merge into bucket 0.
+  // Victims from then on: bucket 0 least recent first across both
+  // hints — p2 (1), p1 (5), p4 (6), p6 (7) — then B's pages in their
+  // own recency order, p5 (8) before p3 (15), although p3 came in first.
+  constexpr HintSetId kC = 2, kD = 3;
+  ClicOptions options = BareOptions(8);
+  options.decay = 0.0;
+  const std::pair<PageId, HintSetId> prefix[] = {
+      {1, kA}, {2, kC}, {3, kB}, {4, kA}, {5, kB}, {1, kA}, {4, kA},
+      {6, kC}, {5, kB}, {3, kB}, {3, kB}, {3, kB}, {3, kB}, {3, kB},
+      {3, kB}, {3, kB},
+  };
+  const PageId victims[] = {2, 1, 4, 6, 5, 3};
+  constexpr std::size_t kVictims = std::size(victims);
+  for (std::size_t k = 1; k <= kVictims; ++k) {
+    // Fresh replay: k misses on new B pages evict k pages; then every
+    // page not yet due must still hit, and the k-th victim must miss.
+    ClicPolicy clic(6, options);
+    Driver d(&clic);
+    for (const auto& [page, hint] : prefix) d.Read(page, hint);
+    for (std::size_t j = 0; j < k; ++j) {
+      ASSERT_FALSE(d.Read(static_cast<PageId>(100 + j), kB));
+    }
+    ASSERT_EQ(clic.windows_completed(), 2u);
+    const auto priorities = PriorityMap(clic);
+    ASSERT_EQ(priorities.at(kA), 0.0);
+    ASSERT_GT(priorities.at(kB), 0.0);
+    for (std::size_t j = k; j < kVictims; ++j) {
+      EXPECT_TRUE(d.Read(victims[j], kD))
+          << "page " << victims[j] << " evicted before victim " << k;
+    }
+    EXPECT_FALSE(d.Read(victims[k - 1], kD))
+        << "victim " << k << " (page " << victims[k - 1] << ") survived";
+  }
 }
 
 TEST(ClicWindowTest, TopKTrackerGatesPriorities) {
