@@ -185,15 +185,12 @@ void MicroBatch(benchmark::State& state, PolicyKind kind, std::size_t batch,
       benchmark::Counter::kIsRate);
   state.counters["read_hit_ratio"] = result.total.ReadHitRatio();
   if (elapsed.count() > 0.0) {
-    BenchJsonRow row;
-    row.bench = name;
-    row.requests_per_sec = static_cast<double>(state.iterations()) *
-                           static_cast<double>(trace.size()) /
-                           elapsed.count();
-    row.batch = batch;
-    row.requests = trace.size();
-    row.mode = batch == 0 ? "scalar" : "batch";
-    AppendBenchJson(row);
+    AppendBenchJson(BenchRow(name,
+                             static_cast<double>(state.iterations()) *
+                                 static_cast<double>(trace.size()) /
+                                 elapsed.count(),
+                             batch, trace.size(),
+                             batch == 0 ? "scalar" : "batch"));
   }
 }
 

@@ -31,15 +31,12 @@ void PolicyThroughput(benchmark::State& state, PolicyKind kind,
           static_cast<double>(trace.size()),
       benchmark::Counter::kIsRate);
   if (elapsed.count() > 0.0) {
-    BenchJsonRow row;
-    row.bench = name;
-    row.requests_per_sec = static_cast<double>(state.iterations()) *
-                           static_cast<double>(trace.size()) /
-                           elapsed.count();
-    row.batch = kSimulateBatch;  // Simulate's AccessBatch block size
-    row.requests = trace.size();
-    row.mode = "simulate";
-    AppendBenchJson(row);
+    // batch: Simulate's AccessBatch block size.
+    AppendBenchJson(BenchRow(name,
+                             static_cast<double>(state.iterations()) *
+                                 static_cast<double>(trace.size()) /
+                                 elapsed.count(),
+                             kSimulateBatch, trace.size(), "simulate"));
   }
 }
 

@@ -43,6 +43,7 @@
 
 #include "bench_util.h"
 #include "common/cli_util.h"
+#include "server/ledger_row.h"
 #include "server/net/net_server.h"
 #include "server/net/wire_client.h"
 
@@ -65,32 +66,6 @@ constexpr double kReadTimeoutMs = 5.0;
 constexpr std::size_t kSlowloris = 1;
 constexpr std::size_t kChurn = 1;
 
-[[noreturn]] void LedgerFailure(const char* what,
-                                const server::AdmissionStats& a,
-                                const server::net::NetStats& n,
-                                const server::net::WireLoadResult& w) {
-  std::fprintf(
-      stderr,
-      "bench_net_serving: WIRE LEDGER BROKEN (%s): adm submitted=%llu "
-      "applied=%llu shed=%llu timed_out=%llu expired=%llu stopped=%llu | "
-      "net frames=%llu frame_requests=%llu rejected=%llu/%llu | client "
-      "submitted=%llu applied=%llu conn_lost=%llu\n",
-      what, static_cast<unsigned long long>(a.submitted_requests),
-      static_cast<unsigned long long>(a.applied_requests),
-      static_cast<unsigned long long>(a.shed_requests),
-      static_cast<unsigned long long>(a.timed_out_requests),
-      static_cast<unsigned long long>(a.expired_requests),
-      static_cast<unsigned long long>(a.stopped_requests),
-      static_cast<unsigned long long>(n.frames),
-      static_cast<unsigned long long>(n.frame_requests),
-      static_cast<unsigned long long>(n.rejected_frames),
-      static_cast<unsigned long long>(n.rejected_requests),
-      static_cast<unsigned long long>(w.submitted_requests),
-      static_cast<unsigned long long>(w.applied_requests),
-      static_cast<unsigned long long>(w.conn_lost_requests));
-  std::abort();
-}
-
 /// The wire-edge ledger, checked exactly: (1) every well-formed frame's
 /// requests reached Submit (net.frame_requests == adm.submitted); (2)
 /// the client-side tally of status replies balances against what it
@@ -98,20 +73,26 @@ constexpr std::size_t kChurn = 1;
 void CheckWireLedger(const server::AdmissionStats& a,
                      const server::net::NetStats& n,
                      const server::net::WireLoadResult& w) {
+  const char* broken = nullptr;
   if (a.submitted_requests != n.frame_requests ||
       a.submitted_batches != n.frames) {
-    LedgerFailure("frames vs submits", a, n, w);
+    broken = "frames vs submits";
+  } else if (!w.Balanced()) {
+    broken = "client ledger";
+  } else {
+    return;
   }
-  if (w.submitted_requests !=
-      w.applied_requests + w.shed_requests + w.timed_out_requests +
-          w.expired_requests + w.stopped_requests + w.conn_lost_requests) {
-    LedgerFailure("client request ledger", a, n, w);
-  }
-  if (w.submitted_batches !=
-      w.applied_batches + w.shed_batches + w.timed_out_batches +
-          w.expired_batches + w.stopped_batches + w.conn_lost_batches) {
-    LedgerFailure("client batch ledger", a, n, w);
-  }
+  sweep::Row net;
+  net.Int("frames", n.frames)
+      .Int("frame_requests", n.frame_requests)
+      .Int("rejected_frames", n.rejected_frames)
+      .Int("rejected_requests", n.rejected_requests);
+  std::fprintf(stderr,
+               "bench_net_serving: WIRE LEDGER BROKEN (%s): adm %s net %s "
+               "client %s\n",
+               broken, server::LedgerRow(a).Json().c_str(),
+               net.Json().c_str(), server::LedgerRow(w).Json().c_str());
+  std::abort();
 }
 
 server::net::NetServerOptions MakeServerOptions(std::size_t conn_limit,
@@ -215,47 +196,24 @@ void AppendNetRow(const std::string& name,
                   const server::net::NetStats& n,
                   const server::net::WireLoadResult& w,
                   double healthy_ratio) {
-  BenchJsonRow row;
-  row.bench = name;
-  row.requests_per_sec = w.throughput_rps;
-  row.batch = kBatch;
-  row.requests = a.applied_requests;
-  row.mode = "net";
-  std::string extra = "\"submitted\":";
-  extra.append(std::to_string(a.submitted_requests + n.rejected_requests));
-  extra.append(",\"served\":");
-  extra.append(std::to_string(a.applied_requests));
-  extra.append(",\"shed\":");
-  extra.append(std::to_string(a.shed_requests));
-  extra.append(",\"timed_out\":");
-  extra.append(std::to_string(a.timed_out_requests));
-  extra.append(",\"expired\":");
-  extra.append(std::to_string(a.expired_requests));
-  extra.append(",\"stopped\":");
-  extra.append(std::to_string(a.stopped_requests));
-  extra.append(",\"wire_rejected\":");
-  extra.append(std::to_string(n.rejected_requests));
-  extra.append(",\"rejected_frames\":");
-  extra.append(std::to_string(n.rejected_frames));
-  extra.append(",\"evicted_read\":");
-  extra.append(std::to_string(n.evicted_read));
-  extra.append(",\"accepted\":");
-  extra.append(std::to_string(n.accepted));
-  extra.append(",\"conn_lost\":");
-  extra.append(std::to_string(w.conn_lost_requests));
-  extra.append(",\"cores_detected\":");
-  extra.append(
-      std::to_string(std::max(1u, std::thread::hardware_concurrency())));
-  extra.append(",\"wire_p50_us\":");
-  sweep::AppendDouble(&extra, w.p50_us);
-  extra.append(",\"wire_p99_us\":");
-  sweep::AppendDouble(&extra, w.p99_us);
-  if (healthy_ratio >= 0.0) {
-    extra.append(",\"healthy_ratio\":");
-    sweep::AppendDouble(&extra, healthy_ratio);
-  }
-  row.extra = std::move(extra);
-  AppendBenchJson(row);
+  sweep::Row row =
+      BenchRow(name, w.throughput_rps, kBatch, a.applied_requests, "net");
+  row.Int("submitted", a.submitted_requests + n.rejected_requests)
+      .Int("served", a.applied_requests)
+      .Int("shed", a.shed_requests)
+      .Int("timed_out", a.timed_out_requests)
+      .Int("expired", a.expired_requests)
+      .Int("stopped", a.stopped_requests)
+      .Int("wire_rejected", n.rejected_requests)
+      .Int("rejected_frames", n.rejected_frames)
+      .Int("evicted_read", n.evicted_read)
+      .Int("accepted", n.accepted)
+      .Int("conn_lost", w.conn_lost_requests)
+      .Int("cores_detected", std::max(1u, std::thread::hardware_concurrency()))
+      .Double("wire_p50_us", w.p50_us)
+      .Double("wire_p99_us", w.p99_us);
+  if (healthy_ratio >= 0.0) row.Double("healthy_ratio", healthy_ratio);
+  AppendBenchJson(std::move(row));
 }
 
 /// One serve of the workload over loopback: start a NetServer on an

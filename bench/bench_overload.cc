@@ -39,6 +39,7 @@
 #include "common/cli_util.h"
 #include "server/cache_server.h"
 #include "server/fault_injection.h"
+#include "server/ledger_row.h"
 
 namespace clic::bench {
 namespace {
@@ -76,41 +77,21 @@ double Percentile(const std::vector<double>& sorted, double q) {
   return sorted[rank];
 }
 
-[[noreturn]] void AccountingFailure(const char* what,
-                                    const server::AdmissionStats& a) {
-  std::fprintf(
-      stderr,
-      "bench_overload: ACCOUNTING BROKEN (%s): submitted=%llu/%llu "
-      "enqueued=%llu applied=%llu shed=%llu timed_out=%llu expired=%llu "
-      "stopped=%llu (batches/requests)\n",
-      what, static_cast<unsigned long long>(a.submitted_batches),
-      static_cast<unsigned long long>(a.submitted_requests),
-      static_cast<unsigned long long>(a.enqueued_batches),
-      static_cast<unsigned long long>(a.applied_batches),
-      static_cast<unsigned long long>(a.shed_batches),
-      static_cast<unsigned long long>(a.timed_out_batches),
-      static_cast<unsigned long long>(a.expired_batches),
-      static_cast<unsigned long long>(a.stopped_batches));
-  std::abort();
-}
-
 /// Every batch must be accounted for exactly once; see the
 /// AdmissionStats invariants in server/cache_server.h.
 void CheckAccounting(const server::AdmissionStats& a,
                      std::uint64_t driver_submitted_batches) {
+  const char* broken = nullptr;
   if (a.submitted_batches != driver_submitted_batches) {
-    AccountingFailure("driver/server submitted mismatch", a);
+    broken = "driver/server submitted mismatch";
+  } else if (!a.Balanced()) {
+    broken = "ledger imbalance";
+  } else {
+    return;
   }
-  if (a.submitted_batches != a.applied_batches + a.shed_batches +
-                                 a.timed_out_batches + a.expired_batches +
-                                 a.stopped_batches) {
-    AccountingFailure("batch ledger imbalance", a);
-  }
-  if (a.submitted_requests != a.applied_requests + a.shed_requests +
-                                  a.timed_out_requests + a.expired_requests +
-                                  a.stopped_requests) {
-    AccountingFailure("request ledger imbalance", a);
-  }
+  std::fprintf(stderr, "bench_overload: ACCOUNTING BROKEN (%s): %s\n", broken,
+               server::LedgerRow(a).Json().c_str());
+  std::abort();
 }
 
 /// One full serve of the partitioned workload. Client c's batches all
@@ -269,38 +250,22 @@ void Overload(benchmark::State& state, const std::string& workload,
   state.counters["requests_per_sec"] = applied_rps;
   state.SetItemsProcessed(static_cast<std::int64_t>(a.applied_requests));
 
-  BenchJsonRow row;
-  row.bench = name;
-  row.requests_per_sec = applied_rps;
-  row.batch = kBatch;
-  row.requests = a.applied_requests;
-  row.mode = "overload";
-  std::string extra = "\"submitted\":";
-  extra.append(std::to_string(a.submitted_requests));
-  extra.append(",\"served\":");
-  extra.append(std::to_string(a.applied_requests));
-  extra.append(",\"shed\":");
-  extra.append(std::to_string(a.shed_requests));
-  extra.append(",\"timed_out\":");
-  extra.append(std::to_string(a.timed_out_requests));
-  extra.append(",\"expired\":");
-  extra.append(std::to_string(a.expired_requests));
-  extra.append(",\"stopped\":");
-  extra.append(std::to_string(a.stopped_requests));
-  extra.append(",\"watchdog_sheds\":");
-  extra.append(std::to_string(faulted.watchdog_sheds));
-  extra.append(",\"consumers\":");
-  extra.append(std::to_string(faulted.consumers));
-  extra.append(",\"cores_detected\":");
-  extra.append(std::to_string(
-      std::max(1u, std::thread::hardware_concurrency())));
-  extra.append(",\"per_core_rps\":");
-  sweep::AppendDouble(
-      &extra, applied_rps / static_cast<double>(std::max(1u, faulted.consumers)));
-  extra.append(",\"nonstalled_ratio\":");
-  sweep::AppendDouble(&extra, ratio);
-  row.extra = std::move(extra);
-  AppendBenchJson(row);
+  sweep::Row row =
+      BenchRow(name, applied_rps, kBatch, a.applied_requests, "overload");
+  row.Int("submitted", a.submitted_requests)
+      .Int("served", a.applied_requests)
+      .Int("shed", a.shed_requests)
+      .Int("timed_out", a.timed_out_requests)
+      .Int("expired", a.expired_requests)
+      .Int("stopped", a.stopped_requests)
+      .Int("watchdog_sheds", faulted.watchdog_sheds)
+      .Int("consumers", faulted.consumers)
+      .Int("cores_detected", std::max(1u, std::thread::hardware_concurrency()))
+      .Double("per_core_rps",
+              applied_rps /
+                  static_cast<double>(std::max(1u, faulted.consumers)))
+      .Double("nonstalled_ratio", ratio);
+  AppendBenchJson(std::move(row));
 }
 
 void RegisterOverload(const std::string& workload) {

@@ -50,21 +50,15 @@ void ScenarioPoint(benchmark::State& state, const std::string& preset,
   state.SetItemsProcessed(static_cast<std::int64_t>(trace.size()) *
                           static_cast<std::int64_t>(state.iterations()));
   if (elapsed.count() > 0.0) {
-    BenchJsonRow row;
-    row.bench = name;
-    row.requests_per_sec = static_cast<double>(state.iterations()) *
-                           static_cast<double>(trace.size()) /
-                           elapsed.count();
-    row.batch = kSimulateBatch;
-    row.requests = trace.size();
-    row.mode = "scenario";
-    row.extra = "\"adaptive\":";
-    row.extra.append(clic.adaptive_window ? "true" : "false");
-    row.extra.append(",\"cache_pages\":");
-    row.extra.append(std::to_string(cache_pages));
-    row.extra.append(",\"read_hit_ratio\":");
-    sweep::AppendDouble(&row.extra, result.total.ReadHitRatio());
-    AppendBenchJson(row);
+    sweep::Row row = BenchRow(name,
+                              static_cast<double>(state.iterations()) *
+                                  static_cast<double>(trace.size()) /
+                                  elapsed.count(),
+                              kSimulateBatch, trace.size(), "scenario");
+    row.Bool("adaptive", clic.adaptive_window)
+        .Int("cache_pages", cache_pages)
+        .Double("read_hit_ratio", result.total.ReadHitRatio());
+    AppendBenchJson(std::move(row));
   }
 }
 

@@ -68,16 +68,14 @@ void ServerScaling(benchmark::State& state, PolicyKind kind,
   state.counters["consumers"] = static_cast<double>(result.consumers);
   state.counters["per_core_rps"] = per_core_rps;
 
-  BenchJsonRow row;
-  row.bench = name;
-  row.requests_per_sec = result.throughput_rps;
-  row.batch = static_cast<std::uint64_t>(result.avg_drained_batch);
-  row.requests = result.requests;
-  row.mode = "server";
-  row.extra = "\"consumers\":" + std::to_string(result.consumers) +
-              ",\"cores_detected\":" + std::to_string(result.cores_detected) +
-              ",\"per_core_rps\":" + std::to_string(per_core_rps);
-  AppendBenchJson(row);
+  sweep::Row row =
+      BenchRow(name, result.throughput_rps,
+               static_cast<std::uint64_t>(result.avg_drained_batch),
+               result.requests, "server");
+  row.Int("consumers", result.consumers)
+      .Int("cores_detected", result.cores_detected)
+      .Double("per_core_rps", per_core_rps);
+  AppendBenchJson(std::move(row));
 }
 
 void RegisterServerScaling(const std::string& workload) {

@@ -3,17 +3,20 @@
 // Traces are generated at the DESIGN.md scaled lengths (capped by the
 // CLIC_BENCH_REQUESTS environment variable if set) and cached on disk
 // under CLIC_TRACE_CACHE_DIR (default: ./clic_trace_cache) through the
-// process-wide sweep::TraceCache, so the eighteen bench binaries and
+// process-wide sweep::TraceCache, so the bench binaries and
 // clic_sweep never regenerate the same workloads — named paper traces
 // and scenario-engine workloads alike.
 #pragma once
 
 #include <benchmark/benchmark.h>
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 
+#include "common/cli_util.h"
 #include "common/rng.h"
 #include "sim/policy_factory.h"
 #include "sim/simulator.h"
@@ -64,57 +67,41 @@ inline void RunPoint(benchmark::State& state, const Trace& trace,
                           static_cast<std::int64_t>(state.iterations()));
 }
 
-/// One row of the machine-readable perf log (see AppendBenchJson). The
-/// repo's perf memory: CI runs the micro benches with
-/// CLIC_BENCH_JSON_OUT=BENCH_PR4.json, uploads the file as an artifact,
-/// and fails the job when the LRU / CLIC floors are undershot.
-struct BenchJsonRow {
-  std::string bench;            // benchmark name, e.g. Micro/.../LRU
-  double requests_per_sec = 0;  // the headline throughput
-  std::uint64_t batch = 0;      // AccessBatch block size; 0 = scalar path
-  std::uint64_t requests = 0;   // requests replayed per iteration
-  std::string mode;             // free-form: "scalar", "batch", "overload"
-  /// Extra pre-rendered JSON members spliced verbatim into the object
-  /// (e.g. "\"shed\":12,\"timed_out\":0"). The caller owns validity;
-  /// tools/check_bench_floors.py reads the overload accounting fields
-  /// from here. Empty = none.
-  std::string extra;
-};
+/// The fields every perf-log row starts with: benchmark name, headline
+/// throughput, AccessBatch block size (0 = scalar path), requests
+/// replayed per iteration, and a free-form mode ("scalar", "batch",
+/// "overload", ...). Benches append their own fields to it.
+inline sweep::Row BenchRow(const std::string& bench, double requests_per_sec,
+                           std::uint64_t batch, std::uint64_t requests,
+                           const std::string& mode) {
+  sweep::Row row;
+  row.Str("bench", bench)
+      .Double("requests_per_sec", requests_per_sec)
+      .Int("batch", batch)
+      .Int("requests", requests)
+      .Str("mode", mode);
+  return row;
+}
 
-/// Appends `row` (plus the build's git revision) as one self-contained
-/// JSON object per line to $CLIC_BENCH_JSON_OUT. JSON-Lines on purpose:
-/// several bench binaries append to one file from separate processes,
-/// which a single JSON array could not survive. No-op when the env var
-/// is unset.
-inline void AppendBenchJson(const BenchJsonRow& row) {
+/// Appends `row` plus the build's git revision as one JSON object per
+/// line to $CLIC_BENCH_JSON_OUT: the repo's perf memory, which CI
+/// uploads and tools/check_bench_floors.py gates. JSON-Lines on
+/// purpose: several bench binaries append to one file from separate
+/// processes, which a single JSON array could not survive. No-op when
+/// the env var is unset; a row that cannot be written exits 1, so a
+/// perf log never silently loses rows.
+inline void AppendBenchJson(sweep::Row row) {
   const char* path = std::getenv("CLIC_BENCH_JSON_OUT");
   if (path == nullptr || *path == '\0') return;
+  row.Str("git_rev", CLIC_GIT_REV);
   std::FILE* f = std::fopen(path, "a");
   if (f == nullptr) {
-    std::fprintf(stderr, "bench: cannot append to CLIC_BENCH_JSON_OUT=%s\n",
-                 path);
-    return;
+    std::fprintf(stderr, "bench: cannot open '%s': %s\n", path,
+                 std::strerror(errno));
+    std::exit(1);
   }
-  std::string line = "{\"bench\":\"";
-  line.append(sweep::JsonEscaped(row.bench));
-  line.append("\",\"requests_per_sec\":");
-  sweep::AppendDouble(&line, row.requests_per_sec);
-  line.append(",\"batch\":");
-  line.append(std::to_string(row.batch));
-  line.append(",\"requests\":");
-  line.append(std::to_string(row.requests));
-  line.append(",\"mode\":\"");
-  line.append(sweep::JsonEscaped(row.mode));
-  line.push_back('"');
-  if (!row.extra.empty()) {
-    line.push_back(',');
-    line.append(row.extra);
-  }
-  line.append(",\"git_rev\":\"");
-  line.append(sweep::JsonEscaped(CLIC_GIT_REV));
-  line.append("\"}\n");
-  std::fwrite(line.data(), 1, line.size(), f);
-  std::fclose(f);
+  std::fprintf(f, "%s\n", row.Json().c_str());
+  if (!cli::CloseOutput("bench", f, path)) std::exit(1);
 }
 
 namespace detail {

@@ -156,6 +156,16 @@ struct AdmissionStats {
     stopped_requests += o.stopped_requests;
     return *this;
   }
+
+  /// The ledger identity above, batches and requests.
+  bool Balanced() const {
+    return submitted_batches == applied_batches + shed_batches +
+                                    timed_out_batches + expired_batches +
+                                    stopped_batches &&
+           submitted_requests == applied_requests + shed_requests +
+                                     timed_out_requests + expired_requests +
+                                     stopped_requests;
+  }
 };
 
 struct ServerOptions {

@@ -19,9 +19,11 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/cli_util.h"
 #include "server/cache_server.h"
+#include "server/ledger_row.h"
 #include "server/net/net_server.h"
 #include "server/net/wire_client.h"
 #include "sweep/sweep.h"
@@ -300,207 +302,57 @@ CliOptions Parse(int argc, char** argv) {
   return opts;
 }
 
-using sweep::AppendDouble;
-
-SimResult AsSimResult(const ServeResult& result) {
-  SimResult sim;
-  sim.total = result.total;
-  sim.per_client = result.per_client;
-  return sim;
-}
-
-std::string CsvSummaryHeader() {
-  return "trace,policy,shards,clients,cache_pages,pages_per_shard,batch,"
-         "deterministic,admission,queue_cap,requests,batches,shard_drains,"
-         "avg_drained_batch,reads,writes,read_hits,write_hits,"
-         "read_hit_ratio,write_hit_ratio,submitted_requests,shed_requests,"
-         "timed_out_requests,expired_requests,quarantined,watchdog_sheds,"
-         "wall_seconds,throughput_rps,consumers,cores_detected,per_core_rps,"
-         "p50_us,p99_us,per_client";
-}
-
-std::string CsvSummaryRow(const CliOptions& opts, const ServeResult& r,
-                          std::size_t pages_per_shard) {
-  std::string out;
-  out.append(sweep::CsvField(opts.trace));
-  out.push_back(',');
-  out.append(sweep::CsvField(PolicyName(opts.server.policy)));
-  out.push_back(',');
-  out.append(std::to_string(opts.server.shards));
-  out.push_back(',');
-  out.append(std::to_string(opts.load.clients));
-  out.push_back(',');
-  out.append(std::to_string(opts.server.cache_pages));
-  out.push_back(',');
-  out.append(std::to_string(pages_per_shard));
-  out.push_back(',');
-  out.append(std::to_string(opts.load.batch_size));
-  out.push_back(',');
-  out.append(opts.server.deterministic ? "1" : "0");
-  out.push_back(',');
-  out.append(AdmissionPolicyName(opts.server.admission));
-  out.push_back(',');
-  out.append(std::to_string(opts.server.queue_cap));
-  out.push_back(',');
-  out.append(std::to_string(r.requests));
-  out.push_back(',');
-  out.append(std::to_string(r.batches));
-  out.push_back(',');
-  out.append(std::to_string(r.shard_drains));
-  out.push_back(',');
-  AppendDouble(&out, r.avg_drained_batch);
-  out.push_back(',');
-  out.append(std::to_string(r.total.reads));
-  out.push_back(',');
-  out.append(std::to_string(r.total.writes));
-  out.push_back(',');
-  out.append(std::to_string(r.total.read_hits));
-  out.push_back(',');
-  out.append(std::to_string(r.total.write_hits));
-  out.push_back(',');
-  AppendDouble(&out, r.total.ReadHitRatio());
-  out.push_back(',');
-  AppendDouble(&out, r.total.WriteHitRatio());
-  out.push_back(',');
-  out.append(std::to_string(r.admission.submitted_requests));
-  out.push_back(',');
-  out.append(std::to_string(r.admission.shed_requests));
-  out.push_back(',');
-  out.append(std::to_string(r.admission.timed_out_requests));
-  out.push_back(',');
-  out.append(std::to_string(r.admission.expired_requests));
-  out.push_back(',');
-  out.append(std::to_string(r.quarantined));
-  out.push_back(',');
-  out.append(std::to_string(r.watchdog_sheds));
-  out.push_back(',');
-  AppendDouble(&out, r.wall_seconds);
-  out.push_back(',');
-  AppendDouble(&out, r.throughput_rps);
-  out.push_back(',');
-  out.append(std::to_string(r.consumers));
-  out.push_back(',');
-  out.append(std::to_string(r.cores_detected));
-  out.push_back(',');
-  AppendDouble(&out, r.throughput_rps /
-                         static_cast<double>(std::max(1u, r.consumers)));
-  out.push_back(',');
-  AppendDouble(&out, r.p50_us);
-  out.push_back(',');
-  AppendDouble(&out, r.p99_us);
-  out.push_back(',');
-  out.append(sweep::CsvField(sweep::PerClientColumn(AsSimResult(r))));
-  return out;
-}
-
-std::string JsonSummary(const CliOptions& opts, const ServeResult& r,
-                        std::size_t pages_per_shard) {
-  std::string out = "{\"trace\":\"";
-  out.append(sweep::JsonEscaped(opts.trace));
-  out.append("\",\"policy\":\"");
-  out.append(sweep::JsonEscaped(PolicyName(opts.server.policy)));
-  out.append("\",\"shards\":");
-  out.append(std::to_string(opts.server.shards));
-  out.append(",\"clients\":");
-  out.append(std::to_string(opts.load.clients));
-  out.append(",\"cache_pages\":");
-  out.append(std::to_string(opts.server.cache_pages));
-  out.append(",\"pages_per_shard\":");
-  out.append(std::to_string(pages_per_shard));
-  out.append(",\"batch\":");
-  out.append(std::to_string(opts.load.batch_size));
-  out.append(",\"deterministic\":");
-  out.append(opts.server.deterministic ? "true" : "false");
-  out.append(",\"admission\":\"");
-  out.append(AdmissionPolicyName(opts.server.admission));
-  out.append("\",\"queue_cap\":");
-  out.append(std::to_string(opts.server.queue_cap));
-  out.append(",\"submitted_requests\":");
-  out.append(std::to_string(r.admission.submitted_requests));
-  out.append(",\"shed_requests\":");
-  out.append(std::to_string(r.admission.shed_requests));
-  out.append(",\"timed_out_requests\":");
-  out.append(std::to_string(r.admission.timed_out_requests));
-  out.append(",\"expired_requests\":");
-  out.append(std::to_string(r.admission.expired_requests));
-  out.append(",\"quarantined\":");
-  out.append(std::to_string(r.quarantined));
-  out.append(",\"watchdog_sheds\":");
-  out.append(std::to_string(r.watchdog_sheds));
-  out.append(",\"requests\":");
-  out.append(std::to_string(r.requests));
-  out.append(",\"batches\":");
-  out.append(std::to_string(r.batches));
-  out.append(",\"shard_drains\":");
-  out.append(std::to_string(r.shard_drains));
-  out.append(",\"avg_drained_batch\":");
-  AppendDouble(&out, r.avg_drained_batch);
-  out.append(",\"reads\":");
-  out.append(std::to_string(r.total.reads));
-  out.append(",\"writes\":");
-  out.append(std::to_string(r.total.writes));
-  out.append(",\"read_hits\":");
-  out.append(std::to_string(r.total.read_hits));
-  out.append(",\"write_hits\":");
-  out.append(std::to_string(r.total.write_hits));
-  out.append(",\"read_hit_ratio\":");
-  AppendDouble(&out, r.total.ReadHitRatio());
-  out.append(",\"write_hit_ratio\":");
-  AppendDouble(&out, r.total.WriteHitRatio());
-  out.append(",\"wall_seconds\":");
-  AppendDouble(&out, r.wall_seconds);
-  out.append(",\"throughput_rps\":");
-  AppendDouble(&out, r.throughput_rps);
-  out.append(",\"consumers\":");
-  out.append(std::to_string(r.consumers));
-  out.append(",\"cores_detected\":");
-  out.append(std::to_string(r.cores_detected));
-  out.append(",\"per_core_rps\":");
-  AppendDouble(&out, r.throughput_rps /
-                         static_cast<double>(std::max(1u, r.consumers)));
-  out.append(",\"per_consumer_requests\":[");
-  for (std::size_t k = 0; k < r.per_consumer_requests.size(); ++k) {
-    if (k > 0) out.push_back(',');
-    out.append(std::to_string(r.per_consumer_requests[k]));
+/// The summary row. Its field order is the CSV column order, and the
+/// JSON object follows it.
+sweep::Row SummaryRow(const CliOptions& opts, const ServeResult& r,
+                      std::size_t pages_per_shard) {
+  std::vector<sweep::Row> consumers;
+  for (std::uint64_t requests : r.per_consumer_requests) {
+    consumers.push_back(sweep::Row().Int("", requests));
   }
-  out.append("]");
-  out.append(",\"p50_us\":");
-  AppendDouble(&out, r.p50_us);
-  out.append(",\"p99_us\":");
-  AppendDouble(&out, r.p99_us);
-  out.append(",\"per_shard\":[");
-  for (std::size_t s = 0; s < r.per_shard.size(); ++s) {
-    if (s > 0) out.push_back(',');
-    const CacheStats& stats = r.per_shard[s];
-    out.append("{\"reads\":");
-    out.append(std::to_string(stats.reads));
-    out.append(",\"writes\":");
-    out.append(std::to_string(stats.writes));
-    out.append(",\"read_hits\":");
-    out.append(std::to_string(stats.read_hits));
-    out.append(",\"write_hits\":");
-    out.append(std::to_string(stats.write_hits));
-    out.append("}");
+  std::vector<sweep::Row> shards;
+  for (const CacheStats& stats : r.per_shard) {
+    shards.push_back(sweep::StatsRow(stats));
   }
-  out.append("],\"per_client\":{");
-  bool first = true;
-  for (const auto& [client, stats] : r.per_client) {
-    if (!first) out.push_back(',');
-    first = false;
-    out.push_back('"');
-    out.append(std::to_string(client));
-    out.append("\":{\"reads\":");
-    out.append(std::to_string(stats.reads));
-    out.append(",\"read_hits\":");
-    out.append(std::to_string(stats.read_hits));
-    out.append(",\"writes\":");
-    out.append(std::to_string(stats.writes));
-    out.append(",\"write_hits\":");
-    out.append(std::to_string(stats.write_hits));
-    out.append("}");
-  }
-  out.append("}}");
-  return out;
+  sweep::Row row;
+  row.Str("trace", opts.trace)
+      .Str("policy", PolicyName(opts.server.policy))
+      .Int("shards", opts.server.shards)
+      .Int("clients", opts.load.clients)
+      .Int("cache_pages", opts.server.cache_pages)
+      .Int("pages_per_shard", pages_per_shard)
+      .Int("batch", opts.load.batch_size)
+      .Bool("deterministic", opts.server.deterministic)
+      .Str("admission", AdmissionPolicyName(opts.server.admission))
+      .Int("queue_cap", opts.server.queue_cap)
+      .Int("requests", r.requests)
+      .Int("batches", r.batches)
+      .Int("shard_drains", r.shard_drains)
+      .Double("avg_drained_batch", r.avg_drained_batch)
+      .Int("reads", r.total.reads)
+      .Int("writes", r.total.writes)
+      .Int("read_hits", r.total.read_hits)
+      .Int("write_hits", r.total.write_hits)
+      .Double("read_hit_ratio", r.total.ReadHitRatio())
+      .Double("write_hit_ratio", r.total.WriteHitRatio())
+      .Int("submitted_requests", r.admission.submitted_requests)
+      .Int("shed_requests", r.admission.shed_requests)
+      .Int("timed_out_requests", r.admission.timed_out_requests)
+      .Int("expired_requests", r.admission.expired_requests)
+      .Int("quarantined", r.quarantined)
+      .Int("watchdog_sheds", r.watchdog_sheds)
+      .Double("wall_seconds", r.wall_seconds)
+      .Double("throughput_rps", r.throughput_rps)
+      .Int("consumers", r.consumers)
+      .Int("cores_detected", r.cores_detected)
+      .Double("per_core_rps",
+              r.throughput_rps / static_cast<double>(std::max(1u, r.consumers)))
+      .Double("p50_us", r.p50_us)
+      .Double("p99_us", r.p99_us)
+      .Keyed("per_client", sweep::PerClientItems(r.per_client))
+      .Array("per_consumer_requests", std::move(consumers))
+      .Array("per_shard", std::move(shards));
+  return row;
 }
 
 bool SameStats(const CacheStats& a, const CacheStats& b) {
@@ -510,17 +362,10 @@ bool SameStats(const CacheStats& a, const CacheStats& b) {
 
 void PrintStatsPair(const std::string& what, const CacheStats& served,
                     const CacheStats& expected) {
-  auto line = [&what](const char* tag, const CacheStats& s) {
-    std::fprintf(stderr,
-                 "clic_serve:   %s %s reads=%llu writes=%llu read_hits=%llu "
-                 "write_hits=%llu\n",
-                 what.c_str(), tag, static_cast<unsigned long long>(s.reads),
-                 static_cast<unsigned long long>(s.writes),
-                 static_cast<unsigned long long>(s.read_hits),
-                 static_cast<unsigned long long>(s.write_hits));
-  };
-  line("served  ", served);
-  line("expected", expected);
+  std::fprintf(stderr, "clic_serve:   %s served   %s\n", what.c_str(),
+               sweep::StatsRow(served).Json().c_str());
+  std::fprintf(stderr, "clic_serve:   %s expected %s\n", what.c_str(),
+               sweep::StatsRow(expected).Json().c_str());
 }
 
 int Verify(const ServeResult& served, const SimResult& expected) {
@@ -625,10 +470,10 @@ int RunListen(const CliOptions& opts) {
   server->Drain();
   PrintNetStats(server->Stats());
   const AdmissionStats adm = server->cache().TotalAdmission();
-  if (adm.submitted_requests !=
-      adm.applied_requests + adm.shed_requests + adm.timed_out_requests +
-          adm.expired_requests + adm.stopped_requests) {
-    std::fprintf(stderr, "clic_serve: ADMISSION LEDGER BROKEN after drain\n");
+  if (!adm.Balanced()) {
+    std::fprintf(stderr,
+                 "clic_serve: ADMISSION LEDGER BROKEN after drain: %s\n",
+                 LedgerRow(adm).Json().c_str());
     return 1;
   }
   std::fprintf(stderr,
@@ -676,34 +521,9 @@ int RunWireServe(const CliOptions& opts, const Trace& trace,
 
   // Wire-side ledger: every batch the drivers sent must be accounted
   // for by a status reply or an observed transport loss.
-  if (wire.submitted_requests !=
-          wire.applied_requests + wire.shed_requests +
-              wire.timed_out_requests + wire.expired_requests +
-              wire.stopped_requests + wire.conn_lost_requests ||
-      wire.submitted_batches !=
-          wire.applied_batches + wire.shed_batches + wire.timed_out_batches +
-              wire.expired_batches + wire.stopped_batches +
-              wire.conn_lost_batches) {
-    std::fprintf(
-        stderr,
-        "clic_serve: WIRE LEDGER BROKEN: submitted=%llu/%llu != "
-        "applied=%llu/%llu + shed=%llu/%llu + timed_out=%llu/%llu + "
-        "expired=%llu/%llu + stopped=%llu/%llu + conn_lost=%llu/%llu "
-        "(batches/requests)\n",
-        static_cast<unsigned long long>(wire.submitted_batches),
-        static_cast<unsigned long long>(wire.submitted_requests),
-        static_cast<unsigned long long>(wire.applied_batches),
-        static_cast<unsigned long long>(wire.applied_requests),
-        static_cast<unsigned long long>(wire.shed_batches),
-        static_cast<unsigned long long>(wire.shed_requests),
-        static_cast<unsigned long long>(wire.timed_out_batches),
-        static_cast<unsigned long long>(wire.timed_out_requests),
-        static_cast<unsigned long long>(wire.expired_batches),
-        static_cast<unsigned long long>(wire.expired_requests),
-        static_cast<unsigned long long>(wire.stopped_batches),
-        static_cast<unsigned long long>(wire.stopped_requests),
-        static_cast<unsigned long long>(wire.conn_lost_batches),
-        static_cast<unsigned long long>(wire.conn_lost_requests));
+  if (!wire.Balanced()) {
+    std::fprintf(stderr, "clic_serve: WIRE LEDGER BROKEN: %s\n",
+                 LedgerRow(wire).Json().c_str());
     return 1;
   }
   if (wire.wire_errors > 0) {
@@ -800,30 +620,9 @@ int Main(int argc, char** argv) {
   // The admission ledger must balance exactly on every run, fault plan
   // or not: a request the server neither applied nor accounted for as
   // rejected is a lost write from the client's point of view.
-  const AdmissionStats& adm = result.admission;
-  if (adm.submitted_requests !=
-          adm.applied_requests + adm.shed_requests + adm.timed_out_requests +
-              adm.expired_requests + adm.stopped_requests ||
-      adm.submitted_batches !=
-          adm.applied_batches + adm.shed_batches + adm.timed_out_batches +
-              adm.expired_batches + adm.stopped_batches) {
-    std::fprintf(
-        stderr,
-        "clic_serve: ADMISSION LEDGER BROKEN: submitted=%llu/%llu != "
-        "applied=%llu/%llu + shed=%llu/%llu + timed_out=%llu/%llu + "
-        "expired=%llu/%llu + stopped=%llu/%llu (batches/requests)\n",
-        static_cast<unsigned long long>(adm.submitted_batches),
-        static_cast<unsigned long long>(adm.submitted_requests),
-        static_cast<unsigned long long>(adm.applied_batches),
-        static_cast<unsigned long long>(adm.applied_requests),
-        static_cast<unsigned long long>(adm.shed_batches),
-        static_cast<unsigned long long>(adm.shed_requests),
-        static_cast<unsigned long long>(adm.timed_out_batches),
-        static_cast<unsigned long long>(adm.timed_out_requests),
-        static_cast<unsigned long long>(adm.expired_batches),
-        static_cast<unsigned long long>(adm.expired_requests),
-        static_cast<unsigned long long>(adm.stopped_batches),
-        static_cast<unsigned long long>(adm.stopped_requests));
+  if (!result.admission.Balanced()) {
+    std::fprintf(stderr, "clic_serve: ADMISSION LEDGER BROKEN: %s\n",
+                 LedgerRow(result.admission).Json().c_str());
     return 1;
   }
 
@@ -842,12 +641,12 @@ int Main(int argc, char** argv) {
     }
   }
 
+  const sweep::Row summary = SummaryRow(opts, result, pages_per_shard);
   if (opts.run.format == cli::Format::kCsv) {
-    std::fprintf(out, "%s\n%s\n", CsvSummaryHeader().c_str(),
-                 CsvSummaryRow(opts, result, pages_per_shard).c_str());
+    std::fprintf(out, "%s\n%s\n", summary.CsvHeader().c_str(),
+                 summary.Csv().c_str());
   } else {
-    std::fprintf(out, "%s\n",
-                 JsonSummary(opts, result, pages_per_shard).c_str());
+    std::fprintf(out, "%s\n", summary.Json().c_str());
   }
   if (!cli::CloseOutput(kProg, out, opts.run.output)) return 1;
   std::fprintf(stderr,

@@ -97,6 +97,16 @@ struct WireLoadResult {
   double throughput_rps = 0.0;  // applied requests / wall
   double p50_us = 0.0;          // per-batch send-to-status wire latency
   double p99_us = 0.0;
+
+  /// The ledger identity above, batches and requests.
+  bool Balanced() const {
+    return submitted_batches == applied_batches + shed_batches +
+                                    timed_out_batches + expired_batches +
+                                    stopped_batches + conn_lost_batches &&
+           submitted_requests == applied_requests + shed_requests +
+                                     timed_out_requests + expired_requests +
+                                     stopped_requests + conn_lost_requests;
+  }
 };
 
 /// Replays `trace` over the wire against addr:port. Drivers reconnect

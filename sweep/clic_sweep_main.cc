@@ -131,14 +131,15 @@ int Main(int argc, char** argv) {
   const std::chrono::duration<double> elapsed =
       std::chrono::steady_clock::now() - start;
   if (opts.run.format == cli::Format::kCsv) {
-    std::fprintf(out, "%s\n", CsvHeader().c_str());
+    // Field names never depend on the values.
+    std::fprintf(out, "%s\n", ToRow(SweepRow{}).CsvHeader().c_str());
     for (const SweepRow& row : rows) {
-      std::fprintf(out, "%s\n", CsvRow(row).c_str());
+      std::fprintf(out, "%s\n", ToRow(row).Csv().c_str());
     }
   } else {
     std::fprintf(out, "[\n");
     for (std::size_t i = 0; i < rows.size(); ++i) {
-      std::fprintf(out, "  %s%s\n", JsonRow(rows[i]).c_str(),
+      std::fprintf(out, "  %s%s\n", ToRow(rows[i]).Json().c_str(),
                    i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(out, "]\n");

@@ -70,17 +70,17 @@ void RunOnPool(unsigned threads, std::size_t n,
   if (error.first) std::rethrow_exception(error.first);
 }
 
-void AppendU64(std::string* out, std::uint64_t value) {
-  out->append(std::to_string(value));
+std::string DoubleText(double value) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.17g", value);
+  return buf;
+}
+
+void AppendJsonString(std::string* out, const std::string& value) {
+  out->append("\"").append(JsonEscaped(value)).push_back('"');
 }
 
 }  // namespace
-
-void AppendDouble(std::string* out, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  out->append(buf);
-}
 
 std::string CsvField(const std::string& value) {
   if (value.find_first_of(",\"\r\n") == std::string::npos) return value;
@@ -120,21 +120,135 @@ std::string JsonEscaped(const std::string& value) {
   return out;
 }
 
-std::string PerClientColumn(const SimResult& result) {
+Row& Row::Int(std::string name, std::uint64_t value) {
+  fields_.emplace_back(std::move(name), value);
+  return *this;
+}
+
+Row& Row::Double(std::string name, double value) {
+  fields_.emplace_back(std::move(name), value);
+  return *this;
+}
+
+Row& Row::Bool(std::string name, bool value) {
+  fields_.emplace_back(std::move(name), value);
+  return *this;
+}
+
+Row& Row::Str(std::string name, std::string value) {
+  fields_.emplace_back(std::move(name), std::move(value));
+  return *this;
+}
+
+Row& Row::Keyed(std::string name, Items items) {
+  fields_.emplace_back(std::move(name), List{true, std::move(items)});
+  return *this;
+}
+
+Row& Row::Array(std::string name, std::vector<Row> rows) {
+  List list;
+  for (Row& row : rows) list.items.emplace_back("", std::move(row));
+  fields_.emplace_back(std::move(name), std::move(list));
+  return *this;
+}
+
+std::string Row::CsvHeader() const {
   std::string out;
-  for (const auto& [client, stats] : result.per_client) {
-    if (!out.empty()) out.push_back(';');
-    out.append(std::to_string(client));
-    out.push_back('=');
-    out.append(std::to_string(stats.reads));
-    out.push_back(':');
-    out.append(std::to_string(stats.read_hits));
-    out.push_back(':');
-    out.append(std::to_string(stats.writes));
-    out.push_back(':');
-    out.append(std::to_string(stats.write_hits));
+  for (std::size_t i = 0; i < fields_.size(); ++i) {
+    if (i > 0) out.push_back(',');
+    out.append(CsvField(fields_[i].first));
   }
   return out;
+}
+
+std::string Row::Csv() const {
+  std::string out;
+  for (std::size_t i = 0; i < fields_.size(); ++i) {
+    if (i > 0) out.push_back(',');
+    out.append(CsvField(CsvText(fields_[i].second)));
+  }
+  return out;
+}
+
+std::string Row::CsvText(const Value& value) {
+  if (const auto* u = std::get_if<std::uint64_t>(&value)) {
+    return std::to_string(*u);
+  }
+  if (const auto* d = std::get_if<double>(&value)) return DoubleText(*d);
+  if (const auto* b = std::get_if<bool>(&value)) return *b ? "1" : "0";
+  if (const auto* s = std::get_if<std::string>(&value)) return *s;
+  const Items& items = std::get<List>(value).items;
+  std::string out;
+  for (std::size_t k = 0; k < items.size(); ++k) {
+    const auto& [key, row] = items[k];
+    if (k > 0) out.push_back(';');
+    if (!key.empty()) out.append(key).push_back('=');
+    for (std::size_t i = 0; i < row.fields_.size(); ++i) {
+      if (i > 0) out.push_back(':');
+      out.append(CsvText(row.fields_[i].second));
+    }
+  }
+  return out;
+}
+
+std::string Row::Json() const {
+  std::string out;
+  AppendJsonObject(&out);
+  return out;
+}
+
+void Row::AppendJsonObject(std::string* out) const {
+  if (fields_.size() == 1 && fields_[0].first.empty()) {
+    AppendJson(out, fields_[0].second);  // a bare value, see the class doc
+    return;
+  }
+  out->push_back('{');
+  for (std::size_t i = 0; i < fields_.size(); ++i) {
+    if (i > 0) out->push_back(',');
+    AppendJsonString(out, fields_[i].first);
+    out->push_back(':');
+    AppendJson(out, fields_[i].second);
+  }
+  out->push_back('}');
+}
+
+void Row::AppendJson(std::string* out, const Value& value) {
+  if (const auto* b = std::get_if<bool>(&value)) {
+    out->append(*b ? "true" : "false");
+  } else if (const auto* s = std::get_if<std::string>(&value)) {
+    AppendJsonString(out, *s);
+  } else if (const auto* list = std::get_if<List>(&value)) {
+    out->push_back(list->keyed ? '{' : '[');
+    for (std::size_t i = 0; i < list->items.size(); ++i) {
+      if (i > 0) out->push_back(',');
+      const auto& [key, row] = list->items[i];
+      if (list->keyed) {
+        AppendJsonString(out, key);
+        out->push_back(':');
+      }
+      row.AppendJsonObject(out);
+    }
+    out->push_back(list->keyed ? '}' : ']');
+  } else {
+    out->append(CsvText(value));  // numbers read the same in both formats
+  }
+}
+
+Row StatsRow(const CacheStats& stats) {
+  Row row;
+  row.Int("reads", stats.reads)
+      .Int("read_hits", stats.read_hits)
+      .Int("writes", stats.writes)
+      .Int("write_hits", stats.write_hits);
+  return row;
+}
+
+Row::Items PerClientItems(const std::map<ClientId, CacheStats>& per_client) {
+  Row::Items items;
+  for (const auto& [client, stats] : per_client) {
+    items.emplace_back(std::to_string(client), StatsRow(stats));
+  }
+  return items;
 }
 
 std::vector<SweepPoint> ExpandGrid(const SweepSpec& spec) {
@@ -272,82 +386,21 @@ std::vector<SweepRow> SweepRunner::Run(const SweepSpec& spec) const {
   return rows;
 }
 
-std::string CsvHeader() {
-  return "trace,policy,cache_pages,requests,reads,writes,read_hits,"
-         "write_hits,read_hit_ratio,write_hit_ratio,wall_seconds,per_client";
-}
-
-std::string CsvRow(const SweepRow& row) {
+Row ToRow(const SweepRow& row) {
   const CacheStats& t = row.result.total;
-  std::string out;
-  out.append(CsvField(row.point.trace));
-  out.push_back(',');
-  out.append(CsvField(PolicyName(row.point.policy)));
-  out.push_back(',');
-  out.append(std::to_string(row.point.cache_pages));
-  out.push_back(',');
-  AppendU64(&out, t.reads + t.writes);
-  out.push_back(',');
-  AppendU64(&out, t.reads);
-  out.push_back(',');
-  AppendU64(&out, t.writes);
-  out.push_back(',');
-  AppendU64(&out, t.read_hits);
-  out.push_back(',');
-  AppendU64(&out, t.write_hits);
-  out.push_back(',');
-  AppendDouble(&out, t.ReadHitRatio());
-  out.push_back(',');
-  AppendDouble(&out, t.WriteHitRatio());
-  out.push_back(',');
-  AppendDouble(&out, row.wall_seconds);
-  out.push_back(',');
-  out.append(PerClientColumn(row.result));
-  return out;
-}
-
-std::string JsonRow(const SweepRow& row) {
-  const CacheStats& t = row.result.total;
-  std::string out = "{\"trace\":\"";
-  out.append(JsonEscaped(row.point.trace));
-  out.append("\",\"policy\":\"");
-  out.append(JsonEscaped(PolicyName(row.point.policy)));
-  out.append("\",\"cache_pages\":");
-  out.append(std::to_string(row.point.cache_pages));
-  out.append(",\"requests\":");
-  AppendU64(&out, t.reads + t.writes);
-  out.append(",\"reads\":");
-  AppendU64(&out, t.reads);
-  out.append(",\"writes\":");
-  AppendU64(&out, t.writes);
-  out.append(",\"read_hits\":");
-  AppendU64(&out, t.read_hits);
-  out.append(",\"write_hits\":");
-  AppendU64(&out, t.write_hits);
-  out.append(",\"read_hit_ratio\":");
-  AppendDouble(&out, t.ReadHitRatio());
-  out.append(",\"write_hit_ratio\":");
-  AppendDouble(&out, t.WriteHitRatio());
-  out.append(",\"wall_seconds\":");
-  AppendDouble(&out, row.wall_seconds);
-  out.append(",\"per_client\":{");
-  bool first = true;
-  for (const auto& [client, stats] : row.result.per_client) {
-    if (!first) out.push_back(',');
-    first = false;
-    out.push_back('"');
-    out.append(std::to_string(client));
-    out.append("\":{\"reads\":");
-    AppendU64(&out, stats.reads);
-    out.append(",\"read_hits\":");
-    AppendU64(&out, stats.read_hits);
-    out.append(",\"writes\":");
-    AppendU64(&out, stats.writes);
-    out.append(",\"write_hits\":");
-    AppendU64(&out, stats.write_hits);
-    out.append("}");
-  }
-  out.append("}}");
+  Row out;
+  out.Str("trace", row.point.trace)
+      .Str("policy", PolicyName(row.point.policy))
+      .Int("cache_pages", row.point.cache_pages)
+      .Int("requests", t.reads + t.writes)
+      .Int("reads", t.reads)
+      .Int("writes", t.writes)
+      .Int("read_hits", t.read_hits)
+      .Int("write_hits", t.write_hits)
+      .Double("read_hit_ratio", t.ReadHitRatio())
+      .Double("write_hit_ratio", t.WriteHitRatio())
+      .Double("wall_seconds", row.wall_seconds)
+      .Keyed("per_client", PerClientItems(row.result.per_client));
   return out;
 }
 

@@ -9,9 +9,13 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
+#include <map>
 #include <optional>
 #include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/clic.h"
@@ -21,8 +25,8 @@
 namespace clic::sweep {
 
 /// Declarative grid. Expansion order is fixed — traces outermost, then
-/// policies, then cache sizes, matching the nesting of the figure
-/// benches — so a spec always yields the same row order no matter how
+/// policies, then cache sizes, matching the nesting of the paper's
+/// figures — so a spec always yields the same row order no matter how
 /// (or on how many threads) it runs.
 struct SweepSpec {
   std::vector<std::string> traces;
@@ -53,7 +57,7 @@ std::vector<SweepPoint> ExpandGrid(const SweepSpec& spec);
 /// "ablation" (the Section-7 extended policy comparison) — or of a
 /// workload scenario: "zipf-sweep", "scan-pollution", "phase-shift",
 /// "tenant-mix" (grids over workload/scenario.h generators). The single
-/// source of truth for these grids — the figure bench drivers and the
+/// source of truth for these grids — bench_ablation_policies and the
 /// `clic_sweep --figure` presets both call it, and the valid-name list
 /// is cli::FigurePresetNames() (common/cli_util.h), pinned equal by
 /// tests/test_sweep.cc. Returns nullopt for unknown names.
@@ -79,34 +83,74 @@ class SweepRunner {
   unsigned threads_;
 };
 
-/// Appends `value` as %.17g — the one double format every emitter in
-/// the repo uses, so equal doubles always print byte-identically (the
-/// CI determinism diffs depend on it).
-void AppendDouble(std::string* out, double value);
-
 /// RFC-4180 field quoting: returns `value` unchanged when it contains
 /// no comma, double quote, CR or LF; otherwise wraps it in double
-/// quotes with embedded quotes doubled. Every CSV emitter in the repo
-/// (sweep rows, clic_serve stats) must pass free-form strings — trace
-/// and policy names — through this so a hostile name can never corrupt
-/// a row.
+/// quotes with embedded quotes doubled. Row::Csv passes every field
+/// through this, so a hostile trace or policy name can never corrupt a
+/// row.
 std::string CsvField(const std::string& value);
 
 /// Minimal JSON string escaping: backslash, double quote, and control
-/// characters (as \uXXXX). Same contract as CsvField, for the JSON
-/// emitters.
+/// characters (as \uXXXX). Same contract as CsvField, for Row::Json.
 std::string JsonEscaped(const std::string& value);
 
-/// Flattens per-client stats into one CSV-safe column:
-/// `client=reads:read_hits:writes:write_hits;...` in client-id order.
-std::string PerClientColumn(const SimResult& result);
+/// One output record: an ordered list of named, typed fields. Every
+/// CSV line, JSON object and perf-log line in the repo is a Row, and
+/// each kind of value has exactly one rendering:
+///   - integer: decimal;
+///   - double: %.17g, so equal doubles print byte-identically (the CI
+///     determinism diffs depend on it);
+///   - bool: 1/0 in CSV, true/false in JSON;
+///   - string: through CsvField / JsonEscaped;
+///   - list of sub-rows: in CSV one column, `key=a:b:c;key=...` when
+///     keyed and `a:b:c;...` when not; in JSON a nested object when
+///     keyed and an array when not. A sub-row with a single unnamed
+///     field stands for that bare value (`[5,7]`, CSV `5;7`).
+/// CSV and JSON therefore always carry the same fields in the same
+/// order.
+class Row {
+ public:
+  using Items = std::vector<std::pair<std::string, Row>>;
 
-/// CSV / JSON row emission. Hit ratios are printed with %.17g so equal
-/// doubles produce byte-identical text (the N=1 vs N=8 comparison in CI
-/// diffs these rows).
-std::string CsvHeader();
-std::string CsvRow(const SweepRow& row);
-/// One self-contained JSON object per row (per_client is a nested map).
-std::string JsonRow(const SweepRow& row);
+  Row& Int(std::string name, std::uint64_t value);
+  Row& Double(std::string name, double value);
+  Row& Bool(std::string name, bool value);
+  Row& Str(std::string name, std::string value);
+  /// A list whose sub-rows are named by their keys.
+  Row& Keyed(std::string name, Items items);
+  /// A list of sub-rows in order, without keys.
+  Row& Array(std::string name, std::vector<Row> rows);
+
+  /// Field names, comma-separated.
+  std::string CsvHeader() const;
+  /// Field values, comma-separated, in CsvHeader order.
+  std::string Csv() const;
+  /// One JSON object, no whitespace.
+  std::string Json() const;
+
+ private:
+  struct List {
+    bool keyed = false;
+    Items items;
+  };
+  using Value = std::variant<std::uint64_t, double, bool, std::string, List>;
+
+  static std::string CsvText(const Value& value);
+  static void AppendJson(std::string* out, const Value& value);
+  void AppendJsonObject(std::string* out) const;
+
+  std::vector<std::pair<std::string, Value>> fields_;
+};
+
+/// `reads, read_hits, writes, write_hits` — the sub-row of every
+/// per-client and per-shard list.
+Row StatsRow(const CacheStats& stats);
+
+/// Per-client stats as a keyed list, in client-id order.
+Row::Items PerClientItems(const std::map<ClientId, CacheStats>& per_client);
+
+/// The output row of one grid point: trace, policy, cache_pages, the
+/// aggregate counts and ratios, wall_seconds, per_client.
+Row ToRow(const SweepRow& row);
 
 }  // namespace clic::sweep

@@ -7,7 +7,8 @@
 # offending token AND the valid set on stderr and a non-zero exit —
 # never a silent skip, and never a bare abort deep in trace resolution.
 # None of these invocations may start a simulation, so the whole script
-# runs in milliseconds.
+# runs in milliseconds — except the clic_serve output-schema pin at the
+# end, two 20k-request deterministic runs.
 set -u
 
 SWEEP="$1"
@@ -210,6 +211,47 @@ expect_reject "clic_serve decay above one" "--decay='1.5'" "[0, 1]" -- \
 scratch_cache=$(mktemp -d "${TMPDIR:-/tmp}/clic_cli_test.XXXXXX")
 expect_reject "clic_serve batch exceeds request budget" "--batch=4096" "request budget" -- \
   "$SERVE" --trace=DB2_C60 --requests=64 --batch=4096 --cache-dir="$scratch_cache"
+
+# clic_serve summary schema: CSV columns and JSON keys are what scripts
+# parse, so a rename or reorder must show up here. The CSV columns
+# through per_client and the JSON key set were captured from the build
+# before both formats came from one Row; the CSV has since gained the
+# two list columns the JSON always carried.
+expected_header="trace,policy,shards,clients,cache_pages,pages_per_shard,batch,\
+deterministic,admission,queue_cap,requests,batches,shard_drains,\
+avg_drained_batch,reads,writes,read_hits,write_hits,read_hit_ratio,\
+write_hit_ratio,submitted_requests,shed_requests,timed_out_requests,\
+expired_requests,quarantined,watchdog_sheds,wall_seconds,throughput_rps,\
+consumers,cores_detected,per_core_rps,p50_us,p99_us,per_client,\
+per_consumer_requests,per_shard"
+expected_keys="admission,avg_drained_batch,batch,batches,cache_pages,clients,\
+consumers,cores_detected,deterministic,expired_requests,p50_us,p99_us,\
+pages_per_shard,per_client,per_consumer_requests,per_core_rps,per_shard,\
+policy,quarantined,queue_cap,read_hit_ratio,read_hits,reads,requests,\
+shard_drains,shards,shed_requests,submitted_requests,throughput_rps,\
+timed_out_requests,trace,wall_seconds,watchdog_sheds,write_hit_ratio,\
+write_hits,writes"
+header=$("$SERVE" --trace=DB2_C60 --deterministic --requests=20000 \
+  --cache-dir="$scratch_cache" --format=csv 2>/dev/null | head -n 1)
+if [ "$header" = "$expected_header" ]; then
+  echo "ok: clic_serve CSV header"
+else
+  echo "FAIL: clic_serve CSV header changed:" >&2
+  echo "  got:      $header" >&2
+  echo "  expected: $expected_header" >&2
+  failures=$((failures + 1))
+fi
+keys=$("$SERVE" --trace=DB2_C60 --deterministic --requests=20000 \
+  --cache-dir="$scratch_cache" --format=json 2>/dev/null |
+  python3 -c 'import json, sys; print(",".join(sorted(json.load(sys.stdin))))')
+if [ "$keys" = "$expected_keys" ]; then
+  echo "ok: clic_serve JSON keys"
+else
+  echo "FAIL: clic_serve JSON top-level keys changed:" >&2
+  echo "  got:      $keys" >&2
+  echo "  expected: $expected_keys" >&2
+  failures=$((failures + 1))
+fi
 rm -rf "$scratch_cache"
 
 # --help and --list must stay cheap and exit 0.

@@ -453,5 +453,37 @@ TEST(FaultInjectionTest, WatchdogShedsTrafficAtStalledShard) {
   ExpectExactLedger(a);
 }
 
+// Balanced() is the identity everything outside the tests checks: it
+// must hold for a consistent ledger and fail when any one term is off,
+// batch- or request-granular. (enqueued is intermediate and not a term.)
+TEST(FaultInjectionTest, BalancedFlagsEveryLedgerTerm) {
+  AdmissionStats a;
+  a.submitted_batches = 13;
+  a.submitted_requests = 150;
+  a.applied_batches = 5;
+  a.applied_requests = 50;
+  a.shed_batches = a.timed_out_batches = a.expired_batches =
+      a.stopped_batches = 2;
+  a.shed_requests = a.timed_out_requests = a.expired_requests =
+      a.stopped_requests = 25;
+  a.enqueued_batches = 9;
+  a.enqueued_requests = 90;
+  ASSERT_TRUE(a.Balanced());
+  ++a.enqueued_requests;
+  EXPECT_TRUE(a.Balanced());
+  for (std::uint64_t AdmissionStats::*term :
+       {&AdmissionStats::submitted_batches, &AdmissionStats::submitted_requests,
+        &AdmissionStats::applied_batches, &AdmissionStats::applied_requests,
+        &AdmissionStats::shed_batches, &AdmissionStats::shed_requests,
+        &AdmissionStats::timed_out_batches,
+        &AdmissionStats::timed_out_requests,
+        &AdmissionStats::expired_batches, &AdmissionStats::expired_requests,
+        &AdmissionStats::stopped_batches, &AdmissionStats::stopped_requests}) {
+    AdmissionStats off = a;
+    ++(off.*term);
+    EXPECT_FALSE(off.Balanced());
+  }
+}
+
 }  // namespace
 }  // namespace clic::server

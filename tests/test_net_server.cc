@@ -345,5 +345,32 @@ TEST(NetServerTest, NetFaultsPreserveDecisionsAndCount) {
   EXPECT_EQ(served.write_hits, expected.total.write_hits);
 }
 
+// The wire-client ledger adds conn_lost to the admission terms; every
+// term, batch- or request-granular, must be able to break it.
+TEST(NetServerTest, WireLedgerBalancedFlagsEveryTerm) {
+  WireLoadResult w;
+  w.submitted_batches = 12;
+  w.submitted_requests = 120;
+  w.applied_batches = w.shed_batches = w.timed_out_batches =
+      w.expired_batches = w.stopped_batches = w.conn_lost_batches = 2;
+  w.applied_requests = w.shed_requests = w.timed_out_requests =
+      w.expired_requests = w.stopped_requests = w.conn_lost_requests = 20;
+  ASSERT_TRUE(w.Balanced());
+  for (std::uint64_t WireLoadResult::*term :
+       {&WireLoadResult::submitted_batches, &WireLoadResult::submitted_requests,
+        &WireLoadResult::applied_batches, &WireLoadResult::applied_requests,
+        &WireLoadResult::shed_batches, &WireLoadResult::shed_requests,
+        &WireLoadResult::timed_out_batches,
+        &WireLoadResult::timed_out_requests,
+        &WireLoadResult::expired_batches, &WireLoadResult::expired_requests,
+        &WireLoadResult::stopped_batches, &WireLoadResult::stopped_requests,
+        &WireLoadResult::conn_lost_batches,
+        &WireLoadResult::conn_lost_requests}) {
+    WireLoadResult off = w;
+    ++(off.*term);
+    EXPECT_FALSE(off.Balanced());
+  }
+}
+
 }  // namespace
 }  // namespace clic::server::net

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -232,6 +234,23 @@ TEST(SweepRunnerTest, EmptyGridYieldsNoRows) {
   EXPECT_TRUE(SweepRunner(fixture.Get(), 4).Run(spec).empty());
 }
 
+// Commas outside quoted fields: the CSV column separators of a line.
+std::size_t UnquotedCommas(const std::string& s) {
+  std::size_t n = 0;
+  bool quoted = false;
+  for (char c : s) {
+    if (c == '"') quoted = !quoted;
+    n += !quoted && c == ',';
+  }
+  return n;
+}
+
+std::size_t Commas(const std::string& s) {
+  std::size_t n = 0;
+  for (char c : s) n += c == ',';
+  return n;
+}
+
 TEST(SweepFormatTest, CsvRowMatchesHeaderShape) {
   SweepRow row;
   row.point.trace = "synthA";
@@ -243,14 +262,14 @@ TEST(SweepFormatTest, CsvRowMatchesHeaderShape) {
   row.result.per_client[1] = {40, 10, 0, 2};
   row.wall_seconds = 0.125;
 
-  const std::string header = CsvHeader();
-  const std::string line = CsvRow(row);
-  auto count_commas = [](const std::string& s) {
-    std::size_t n = 0;
-    for (char c : s) n += c == ',';
-    return n;
-  };
-  EXPECT_EQ(count_commas(header), count_commas(line));
+  const Row out = ToRow(row);
+  const std::string header = out.CsvHeader();
+  const std::string line = out.Csv();
+  EXPECT_EQ(header,
+            "trace,policy,cache_pages,requests,reads,writes,read_hits,"
+            "write_hits,read_hit_ratio,write_hit_ratio,wall_seconds,"
+            "per_client");
+  EXPECT_EQ(Commas(header), Commas(line));
   EXPECT_EQ(line.rfind("synthA,CLIC,96,140,100,40,40,10,", 0), 0u)
       << line;
   EXPECT_NE(line.find("0=60:0:30:8;1=40:0:10:2"), std::string::npos) << line;
@@ -272,34 +291,32 @@ TEST(SweepFormatTest, CsvRowSurvivesHostileTraceName) {
   row.point.policy = PolicyKind::kLru;
   row.point.cache_pages = 8;
   row.result.total = {4, 0, 2, 0};
-  const std::string line = CsvRow(row);
+  const Row out = ToRow(row);
+  const std::string line = out.Csv();
   EXPECT_EQ(line.rfind("\"evil,\"\"trace\"\"\",LRU,8,4,4,0,2,0,", 0), 0u)
       << line;
-  // Commas outside quoted fields must match the header's column count.
-  auto unquoted_commas = [](const std::string& s) {
-    std::size_t n = 0;
-    bool quoted = false;
-    for (char c : s) {
-      if (c == '"') quoted = !quoted;
-      n += !quoted && c == ',';
-    }
-    return n;
-  };
-  auto plain_commas = [](const std::string& s) {
-    std::size_t n = 0;
-    for (char c : s) n += c == ',';
-    return n;
-  };
-  EXPECT_EQ(unquoted_commas(line), plain_commas(CsvHeader()));
+  EXPECT_EQ(UnquotedCommas(line), Commas(out.CsvHeader()));
+}
+
+// A hostile string inside a sub-row list is quoted with its column, so
+// the list cannot add columns either.
+TEST(SweepFormatTest, CsvListColumnSurvivesHostileKey) {
+  Row row;
+  row.Str("name", "x").Keyed("per", {{"a,\"b", Row().Int("n", 1)}});
+  EXPECT_EQ(row.Csv(), "x,\"a,\"\"b=1\"");
+  EXPECT_EQ(UnquotedCommas(row.Csv()), Commas(row.CsvHeader()));
+  EXPECT_EQ(row.Json(), "{\"name\":\"x\",\"per\":{\"a,\\\"b\":{\"n\":1}}}");
 }
 
 TEST(SweepFormatTest, JsonEscapesHostileTraceName) {
   SweepRow row;
   row.point.trace = "quo\"te\\back";
   row.point.policy = PolicyKind::kLru;
-  const std::string json = JsonRow(row);
+  const std::string json = ToRow(row).Json();
   EXPECT_NE(json.find("\"trace\":\"quo\\\"te\\\\back\""), std::string::npos)
       << json;
+  EXPECT_EQ(JsonEscaped("tab\there\x01"),
+            "tab\\u0009here\\u0001");
 }
 
 TEST(SweepFormatTest, JsonRowCarriesAllFields) {
@@ -309,7 +326,7 @@ TEST(SweepFormatTest, JsonRowCarriesAllFields) {
   row.point.cache_pages = 32;
   row.result.total = {10, 5, 4, 1};
   row.result.per_client[3] = {10, 4, 5, 1};
-  const std::string json = JsonRow(row);
+  const std::string json = ToRow(row).Json();
   for (const char* key :
        {"\"trace\":\"synthB\"", "\"policy\":\"LRU\"", "\"cache_pages\":32",
         "\"requests\":15", "\"reads\":10", "\"writes\":5", "\"read_hits\":4",
@@ -317,6 +334,60 @@ TEST(SweepFormatTest, JsonRowCarriesAllFields) {
         "\"wall_seconds\":", "\"per_client\":{\"3\":{\"reads\":10"}) {
     EXPECT_NE(json.find(key), std::string::npos) << key << " in " << json;
   }
+}
+
+TEST(SweepFormatTest, BoolsRenderPerFormat) {
+  Row row;
+  row.Bool("on", true).Bool("off", false);
+  EXPECT_EQ(row.CsvHeader(), "on,off");
+  EXPECT_EQ(row.Csv(), "1,0");
+  EXPECT_EQ(row.Json(), "{\"on\":true,\"off\":false}");
+}
+
+// %.17g is enough digits for any double to read back bit-equal, in
+// both formats.
+TEST(SweepFormatTest, DoublesReadBackBitEqual) {
+  const double values[] = {0.1,
+                           1.0 / 3.0,
+                           0.12257118416228767,
+                           1.0,
+                           -2.5,
+                           0.0,
+                           1e-300,
+                           4.9406564584124654e-324,
+                           1.7976931348623157e308,
+                           5039684.9995287899};
+  for (double v : values) {
+    Row row;
+    row.Double("v", v);
+    const std::string csv = row.Csv();
+    const std::string json = row.Json();
+    ASSERT_EQ(json.rfind("{\"v\":", 0), 0u) << json;
+    const std::string json_number = json.substr(5, json.size() - 6);
+    EXPECT_EQ(csv, json_number);
+    char* end = nullptr;
+    const double back = std::strtod(csv.c_str(), &end);
+    EXPECT_EQ(*end, '\0') << csv;
+    EXPECT_EQ(std::memcmp(&back, &v, sizeof(v)), 0)
+        << csv << " does not read back as " << v;
+  }
+}
+
+TEST(SweepFormatTest, SubRowListsRenderInBothFormats) {
+  Row row;
+  row.Keyed("per_client", {{"3", Row().Int("reads", 10).Int("hits", 4)},
+                           {"7", Row().Int("reads", 2).Int("hits", 0)}})
+      .Keyed("none", {})
+      .Array("shards", {Row().Int("reads", 5).Double("ratio", 0.5)})
+      .Array("counts", {Row().Int("", 5), Row().Int("", 7)})
+      .Array("empty", {});
+  EXPECT_EQ(row.CsvHeader(), "per_client,none,shards,counts,empty");
+  EXPECT_EQ(row.Csv(), "3=10:4;7=2:0,,5:0.5,5;7,");
+  EXPECT_EQ(row.Json(),
+            "{\"per_client\":{\"3\":{\"reads\":10,\"hits\":4},"
+            "\"7\":{\"reads\":2,\"hits\":0}},\"none\":{},"
+            "\"shards\":[{\"reads\":5,\"ratio\":0.5}],\"counts\":[5,7],"
+            "\"empty\":[]}");
 }
 
 }  // namespace
