@@ -197,9 +197,8 @@ void MicroBatch(benchmark::State& state, PolicyKind kind, std::size_t batch,
 void RegisterMicroBatch() {
   // The classic guardrail workload, every policy in the zoo.
   for (PolicyKind kind :
-       {PolicyKind::kLru, PolicyKind::kClock, PolicyKind::kArc,
-        PolicyKind::kTwoQ, PolicyKind::kMq, PolicyKind::kTq,
-        PolicyKind::kClic, PolicyKind::kOpt}) {
+       {PolicyKind::kLru, PolicyKind::kArc, PolicyKind::kMq,
+        PolicyKind::kTq, PolicyKind::kClic, PolicyKind::kOpt}) {
     for (std::size_t batch : {std::size_t{0}, std::size_t{256},
                               std::size_t{4096}}) {
       const std::string name =

@@ -42,9 +42,8 @@ void PolicyThroughput(benchmark::State& state, PolicyKind kind,
 
 void RegisterPolicies() {
   for (PolicyKind kind :
-       {PolicyKind::kLru, PolicyKind::kClock, PolicyKind::kArc,
-        PolicyKind::kTwoQ, PolicyKind::kMq, PolicyKind::kTq,
-        PolicyKind::kClic, PolicyKind::kOpt}) {
+       {PolicyKind::kLru, PolicyKind::kArc, PolicyKind::kMq,
+        PolicyKind::kTq, PolicyKind::kClic, PolicyKind::kOpt}) {
     const std::string name =
         std::string("Micro/requests_per_second/") +
         std::string(PolicyName(kind));

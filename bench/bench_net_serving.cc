@@ -42,7 +42,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "common/cli_util.h"
 #include "server/ledger_row.h"
 #include "server/net/net_server.h"
 #include "server/net/wire_client.h"
@@ -365,6 +364,7 @@ void RegisterNetServing(const std::string& workload) {
           WireServing(s, workload, name, clients);
         })
         ->Iterations(1)
+        ->UseRealTime()
         ->Unit(benchmark::kMillisecond);
   }
   const std::string name =
@@ -374,6 +374,7 @@ void RegisterNetServing(const std::string& workload) {
                                  WireResilience(s, workload, name);
                                })
       ->Iterations(1)
+      ->UseRealTime()
       ->Unit(benchmark::kMillisecond);
 }
 
@@ -381,27 +382,6 @@ void RegisterNetServing(const std::string& workload) {
 }  // namespace clic::bench
 
 int main(int argc, char** argv) {
-  std::string workload = "DB2_C60";
-  std::vector<char*> args;
-  args.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const std::string prefix = "--workload=";
-    if (arg.rfind(prefix, 0) == 0) {
-      workload = arg.substr(prefix.size());
-    } else {
-      args.push_back(argv[i]);
-    }
-  }
-  clic::cli::RequireKnownWorkload("bench_net_serving", "--workload",
-                                  workload);
-  clic::bench::RegisterNetServing(workload);
-  int bench_argc = static_cast<int>(args.size());
-  benchmark::Initialize(&bench_argc, args.data());
-  if (benchmark::ReportUnrecognizedArguments(bench_argc, args.data())) {
-    return 1;
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return clic::bench::RunWithWorkloadFlag(argc, argv, "bench_net_serving",
+                                          clic::bench::RegisterNetServing);
 }

@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "common/cli_util.h"
 #include "server/cache_server.h"
 #include "server/fault_injection.h"
 #include "server/ledger_row.h"
@@ -293,6 +292,7 @@ void RegisterOverload(const std::string& workload) {
               Overload(s, workload, name, admission, queue_cap, burst);
             })
             ->Iterations(1)
+            ->UseRealTime()
             ->Unit(benchmark::kMillisecond);
       }
     }
@@ -303,26 +303,6 @@ void RegisterOverload(const std::string& workload) {
 }  // namespace clic::bench
 
 int main(int argc, char** argv) {
-  std::string workload = "DB2_C60";
-  std::vector<char*> args;
-  args.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const std::string prefix = "--workload=";
-    if (arg.rfind(prefix, 0) == 0) {
-      workload = arg.substr(prefix.size());
-    } else {
-      args.push_back(argv[i]);
-    }
-  }
-  clic::cli::RequireKnownWorkload("bench_overload", "--workload", workload);
-  clic::bench::RegisterOverload(workload);
-  int bench_argc = static_cast<int>(args.size());
-  benchmark::Initialize(&bench_argc, args.data());
-  if (benchmark::ReportUnrecognizedArguments(bench_argc, args.data())) {
-    return 1;
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return clic::bench::RunWithWorkloadFlag(argc, argv, "bench_overload",
+                                          clic::bench::RegisterOverload);
 }

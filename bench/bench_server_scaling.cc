@@ -9,19 +9,16 @@
 //
 // --workload (default DB2_C60) drives the server with any workload
 // token: a named paper trace, a scenario preset such as scan-pollute,
-// or an inline spec like 'zipf:pages=120000,theta=0.9' — this binary
-// owns its main() so the flag can be stripped before google-benchmark
-// parses the rest.
+// or an inline spec like 'zipf:pages=120000,theta=0.9' (parsed by
+// RunWithWorkloadFlag in bench_util.h).
 //
 // Counter `requests_per_sec` is the headline; `p99_us` tracks tail
 // batch latency so a throughput win can't silently buy unbounded
 // queueing delay.
 #include <algorithm>
 #include <string>
-#include <vector>
 
 #include "bench_util.h"
-#include "common/cli_util.h"
 #include "server/cache_server.h"
 
 namespace clic::bench {
@@ -46,6 +43,9 @@ void ServerScaling(benchmark::State& state, PolicyKind kind,
   server::ServeResult result;
   for (auto _ : state) {
     result = server::ServeTrace(trace, options, load);
+    // The served interval only (server construction excluded), so the
+    // console rates equal the perf-log requests_per_sec.
+    state.SetIterationTime(result.wall_seconds);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(result.requests) *
                           static_cast<std::int64_t>(state.iterations()));
@@ -93,6 +93,7 @@ void RegisterServerScaling(const std::string& workload) {
             })
             ->Args({shards, clients})
             ->Iterations(1)
+            ->UseManualTime()
             ->Unit(benchmark::kMillisecond);
       }
     }
@@ -103,27 +104,6 @@ void RegisterServerScaling(const std::string& workload) {
 }  // namespace clic::bench
 
 int main(int argc, char** argv) {
-  std::string workload = "DB2_C60";
-  std::vector<char*> args;
-  args.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const std::string prefix = "--workload=";
-    if (arg.rfind(prefix, 0) == 0) {
-      workload = arg.substr(prefix.size());
-    } else {
-      args.push_back(argv[i]);
-    }
-  }
-  clic::cli::RequireKnownWorkload("bench_server_scaling", "--workload",
-                                  workload);
-  clic::bench::RegisterServerScaling(workload);
-  int bench_argc = static_cast<int>(args.size());
-  benchmark::Initialize(&bench_argc, args.data());
-  if (benchmark::ReportUnrecognizedArguments(bench_argc, args.data())) {
-    return 1;
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return clic::bench::RunWithWorkloadFlag(argc, argv, "bench_server_scaling",
+                                          clic::bench::RegisterServerScaling);
 }

@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "common/cli_util.h"
 #include "common/rng.h"
@@ -150,25 +151,33 @@ inline const Trace& MicroServerScaleTrace() {
   return trace;
 }
 
-/// Registers one benchmark per grid point of `spec`, named
-/// `<prefix>/<trace>/<policy>/<cache_pages>` — the declarative form
-/// shared by the Figure 6/7/8 and policy-ablation drivers. The same
-/// spec fed to sweep::SweepRunner (what clic_sweep does) replays the
-/// identical grid in parallel.
-inline void RegisterSweepBenches(const std::string& prefix,
-                                 const sweep::SweepSpec& spec) {
-  for (const sweep::SweepPoint& p : sweep::ExpandGrid(spec)) {
-    const std::string name = prefix + "/" + p.trace + "/" +
-                             std::string(PolicyName(p.policy)) + "/" +
-                             std::to_string(p.cache_pages);
-    benchmark::RegisterBenchmark(
-        name.c_str(),
-        [p, clic = spec.clic](benchmark::State& s) {
-          RunPoint(s, GetTrace(p.trace), p.policy, p.cache_pages, clic);
-        })
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
+/// The whole main() of a bench that takes `--workload=NAME_OR_SPEC`
+/// (default DB2_C60): strips that flag before google-benchmark parses
+/// argv, validates it like clic_serve does, registers the bench's grid
+/// for it, and exits 1 on any argument google-benchmark does not know.
+inline int RunWithWorkloadFlag(int argc, char** argv, const char* prog,
+                               void (*register_fn)(const std::string&)) {
+  const std::string prefix = "--workload=";
+  std::string workload = "DB2_C60";
+  std::vector<char*> args = {argv[0]};
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.rfind(prefix, 0) == 0) {
+      workload = arg.substr(prefix.size());
+    } else {
+      args.push_back(argv[i]);
+    }
   }
+  cli::RequireKnownWorkload(prog, "--workload", workload);
+  register_fn(workload);
+  int bench_argc = static_cast<int>(args.size());
+  benchmark::Initialize(&bench_argc, args.data());
+  if (benchmark::ReportUnrecognizedArguments(bench_argc, args.data())) {
+    return 1;
+  }
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
 }
 
 }  // namespace clic::bench

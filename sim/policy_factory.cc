@@ -5,12 +5,10 @@
 #include <cstdlib>
 
 #include "policies/arc.h"
-#include "policies/clock.h"
 #include "policies/lru.h"
 #include "policies/mq.h"
 #include "policies/opt.h"
 #include "policies/tq.h"
-#include "policies/two_q.h"
 
 namespace clic {
 
@@ -26,10 +24,6 @@ const char* PolicyName(PolicyKind kind) {
       return "ARC";
     case PolicyKind::kClic:
       return "CLIC";
-    case PolicyKind::kClock:
-      return "CLOCK";
-    case PolicyKind::kTwoQ:
-      return "2Q";
     case PolicyKind::kMq:
       return "MQ";
   }
@@ -38,9 +32,8 @@ const char* PolicyName(PolicyKind kind) {
 
 const std::vector<PolicyKind>& AllPolicies() {
   static const std::vector<PolicyKind> kinds = {
-      PolicyKind::kOpt,   PolicyKind::kTq,  PolicyKind::kLru,
-      PolicyKind::kArc,   PolicyKind::kClic, PolicyKind::kClock,
-      PolicyKind::kTwoQ,  PolicyKind::kMq,
+      PolicyKind::kOpt, PolicyKind::kTq,   PolicyKind::kLru,
+      PolicyKind::kArc, PolicyKind::kClic, PolicyKind::kMq,
   };
   return kinds;
 }
@@ -59,7 +52,6 @@ std::optional<PolicyKind> ParsePolicyKind(std::string_view name) {
   for (PolicyKind kind : AllPolicies()) {
     if (equals_ignore_case(name, PolicyName(kind))) return kind;
   }
-  if (equals_ignore_case(name, "TWOQ")) return PolicyKind::kTwoQ;
   return std::nullopt;
 }
 
@@ -81,10 +73,6 @@ std::unique_ptr<Policy> MakePolicy(PolicyKind kind, std::size_t cache_pages,
       return std::make_unique<ArcPolicy>(cache_pages);
     case PolicyKind::kClic:
       return std::make_unique<ClicPolicy>(cache_pages, options);
-    case PolicyKind::kClock:
-      return std::make_unique<ClockPolicy>(cache_pages);
-    case PolicyKind::kTwoQ:
-      return std::make_unique<TwoQPolicy>(cache_pages);
     case PolicyKind::kMq:
       return std::make_unique<MqPolicy>(cache_pages);
   }

@@ -1,5 +1,5 @@
 // Policy registry for the evaluation: the paper's five figure policies
-// plus the related-work baselines used by the policy ablation.
+// plus MQ, the related-work baseline of the policy ablation.
 #pragma once
 
 #include <array>
@@ -20,19 +20,17 @@ enum class PolicyKind {
   kLru,
   kArc,    // Megiddo & Modha, FAST '03
   kClic,   // this paper
-  kClock,  // related-work baselines (Section 7)
-  kTwoQ,
-  kMq,
+  kMq,     // Zhou et al., USENIX '01 (related work, Section 7)
 };
 
 const char* PolicyName(PolicyKind kind);
 
-/// Case-insensitive inverse of PolicyName ("lru", "2q", "CLIC", ...).
+/// Case-insensitive inverse of PolicyName ("lru", "mq", "CLIC", ...).
 /// Returns nullopt for unknown names.
 std::optional<PolicyKind> ParsePolicyKind(std::string_view name);
 
 /// Every kind: the paper's legend order, then the related-work
-/// baselines. Used by `clic_sweep --list` and flag validation.
+/// baseline. Used by `clic_sweep --list` and flag validation.
 const std::vector<PolicyKind>& AllPolicies();
 
 /// The five policies plotted in Figures 6-8, in the paper's legend order.

@@ -294,10 +294,8 @@ std::optional<SweepSpec> FigureSpec(const std::string& figure) {
     spec.cache_sizes = {5'000, 7'500, 10'000};
   } else if (figure == "ablation") {
     spec.traces = {"DB2_C300"};
-    spec.policies = {PolicyKind::kLru,  PolicyKind::kClock,
-                     PolicyKind::kTwoQ, PolicyKind::kMq,
-                     PolicyKind::kArc,  PolicyKind::kTq,
-                     PolicyKind::kClic};
+    spec.policies = {PolicyKind::kLru, PolicyKind::kMq, PolicyKind::kArc,
+                     PolicyKind::kTq, PolicyKind::kClic};
     spec.cache_sizes = {12'000};
   } else if (figure == "zipf-sweep") {
     // Skew sweep: inline specs so the theta axis is explicit in the

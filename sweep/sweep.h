@@ -54,13 +54,14 @@ struct SweepRow {
 std::vector<SweepPoint> ExpandGrid(const SweepSpec& spec);
 
 /// The preset grid of a paper figure — "6", "7", "8" (Figures 6-8),
-/// "ablation" (the Section-7 extended policy comparison) — or of a
-/// workload scenario: "zipf-sweep", "scan-pollution", "phase-shift",
-/// "tenant-mix" (grids over workload/scenario.h generators). The single
-/// source of truth for these grids — bench_ablation_policies and the
-/// `clic_sweep --figure` presets both call it, and the valid-name list
-/// is cli::FigurePresetNames() (common/cli_util.h), pinned equal by
-/// tests/test_sweep.cc. Returns nullopt for unknown names.
+/// "ablation" (the figure policies minus OPT, plus the Section-7 MQ
+/// baseline) — or of a workload scenario: "zipf-sweep",
+/// "scan-pollution", "phase-shift", "tenant-mix" (grids over
+/// workload/scenario.h generators). The single source of truth for
+/// these grids: the `clic_sweep --figure` presets call it, and the
+/// valid-name list is cli::FigurePresetNames() (common/cli_util.h),
+/// pinned equal by tests/test_sweep.cc. Returns nullopt for unknown
+/// names.
 std::optional<SweepSpec> FigureSpec(const std::string& figure);
 
 class SweepRunner {

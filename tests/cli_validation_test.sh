@@ -59,6 +59,14 @@ expect_reject "clic_sweep unknown trace among known ones" "BOGUS" "MY_H65" -- \
   "$SWEEP" --traces=DB2_C60,BOGUS --policies=LRU --cache-pages=100
 expect_reject "clic_sweep unknown policy" "LRUU" "CLIC" -- \
   "$SWEEP" --traces=DB2_C60 --policies=LRUU --cache-pages=100
+# Baselines no figure plots are not built (CLOCK, 2Q and its TWOQ
+# alias): their names fail like any other unknown policy.
+for removed in CLOCK 2Q TWOQ; do
+  expect_reject "clic_sweep removed policy $removed" "$removed" "ARC, CLIC, MQ" -- \
+    "$SWEEP" --traces=DB2_C60 --policies="$removed" --cache-pages=100
+done
+expect_reject "clic_serve removed policy 2Q" "2Q" "ARC, CLIC, MQ" -- \
+  "$SERVE" --trace=DB2_C60 --policy=2Q
 expect_reject "clic_sweep unknown figure" "9" "ablation" -- \
   "$SWEEP" --figure=9
 expect_reject "clic_sweep unknown figure lists scenario grids" "9" "scan-pollution" -- \

@@ -138,8 +138,8 @@ TEST(FigureSpecTest, KnownFiguresHaveExpectedGridShapes) {
 
   const auto ablation = FigureSpec("ablation");
   ASSERT_TRUE(ablation.has_value());
-  EXPECT_EQ(ablation->policies.size(), 7u);
-  EXPECT_EQ(ExpandGrid(*ablation).size(), 7u);
+  EXPECT_EQ(ablation->policies.size(), 5u);
+  EXPECT_EQ(ExpandGrid(*ablation).size(), 5u);
 
   EXPECT_FALSE(FigureSpec("9").has_value());
   EXPECT_FALSE(FigureSpec("").has_value());
