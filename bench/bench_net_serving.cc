@@ -252,7 +252,6 @@ void WireServing(benchmark::State& state, const std::string& workload,
   state.counters["wire_p50_us"] = w.p50_us;
   state.counters["wire_p99_us"] = w.p99_us;
   state.counters["served"] = static_cast<double>(adm.applied_requests);
-  state.SetItemsProcessed(static_cast<std::int64_t>(adm.applied_requests));
   AppendNetRow(name, adm, net, w, -1.0);
 }
 
@@ -335,7 +334,6 @@ void WireResilience(benchmark::State& state, const std::string& workload,
   state.counters["slowloris_evictions"] =
       static_cast<double>(net.evicted_read);
   state.counters["churn_rejects"] = static_cast<double>(churn_cycles);
-  state.SetItemsProcessed(static_cast<std::int64_t>(adm.applied_requests));
 
   if (net.evicted_read == 0 || net.rejected_requests == 0) {
     // The antagonists must actually have bitten — a resilience number

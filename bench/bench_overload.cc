@@ -247,7 +247,6 @@ void Overload(benchmark::State& state, const std::string& workload,
           ? static_cast<double>(a.applied_requests) / faulted.wall_seconds
           : 0.0;
   state.counters["requests_per_sec"] = applied_rps;
-  state.SetItemsProcessed(static_cast<std::int64_t>(a.applied_requests));
 
   sweep::Row row =
       BenchRow(name, applied_rps, kBatch, a.applied_requests, "overload");

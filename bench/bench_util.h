@@ -50,24 +50,6 @@ inline ClicOptions PaperClicOptions() {
   return options;
 }
 
-/// Runs one (trace, policy, cache size) point and records the read hit
-/// ratio as the benchmark's principal counter.
-inline void RunPoint(benchmark::State& state, const Trace& trace,
-                     PolicyKind kind, std::size_t cache_pages,
-                     const ClicOptions& options = PaperClicOptions()) {
-  SimResult result;
-  for (auto _ : state) {
-    auto policy = MakePolicy(kind, cache_pages, &trace, options);
-    result = Simulate(trace, *policy);
-  }
-  state.counters["read_hit_ratio"] = result.total.ReadHitRatio();
-  state.counters["reads"] = static_cast<double>(result.total.reads);
-  state.counters["requests"] =
-      static_cast<double>(result.total.reads + result.total.writes);
-  state.SetItemsProcessed(static_cast<std::int64_t>(trace.size()) *
-                          static_cast<std::int64_t>(state.iterations()));
-}
-
 /// The fields every perf-log row starts with: benchmark name, headline
 /// throughput, AccessBatch block size (0 = scalar path), requests
 /// replayed per iteration, and a free-form mode ("scalar", "batch",

@@ -19,6 +19,8 @@
 #include <vector>
 
 #include "sim/policy_factory.h"
+#include "sim/trace_ops.h"
+#include "sweep/sweep.h"
 #include "workload/scenario.h"
 #include "workload/trace_factory.h"
 
@@ -44,31 +46,20 @@ std::string JoinNames(const Range& items, NameOf name_of,
 }
 
 /// Every token a workload flag accepts, for help text and error
-/// messages alike: the named paper traces, the scenario presets, and a
-/// reminder of the inline spec grammar.
+/// messages alike: the named paper traces, the scenario presets, a
+/// reminder of the inline spec grammar, and the derived traces.
 inline std::string KnownWorkloadNames() {
   return JoinNames(NamedTraces(),
                    [](const NamedTraceInfo& info) { return info.name; }) +
          "; scenario presets: " +
          JoinNames(ScenarioPresets(),
                    [](const ScenarioPreset& preset) { return preset.name; }) +
-         "; or an inline spec like 'zipf:pages=120000,theta=0.9'";
-}
-
-/// The one table of `--figure` preset names. clic_sweep's help text and
-/// error messages both read it, and sweep::FigureSpec must resolve
-/// exactly this set (pinned by tests/test_sweep.cc), so the valid-token
-/// list can never drift from the grids that actually exist.
-inline const std::vector<std::string>& FigurePresetNames() {
-  static const std::vector<std::string> names = {
-      "6",          "7",           "8",
-      "ablation",   "zipf-sweep",  "scan-pollution",
-      "phase-shift", "phase-shift-adaptive", "tenant-mix"};
-  return names;
+         "; or an inline spec like 'zipf:pages=120000,theta=0.9'; derived: "
+         "<workload>+noise<T>, 3xTPCC";
 }
 
 inline std::string KnownFigureNames() {
-  return JoinNames(FigurePresetNames(),
+  return JoinNames(sweep::FigurePresetNames(),
                    [](const std::string& name) { return name; });
 }
 
@@ -76,8 +67,8 @@ inline std::string KnownPolicyNames() {
   return JoinNames(AllPolicies(), PolicyName);
 }
 
-/// --list: the named traces, scenario presets, figure grids and
-/// policies.
+/// --list: the named traces, scenario presets, derived traces, figure
+/// grids and policies.
 inline void PrintList() {
   std::printf("Traces (name dbms workload db_pages buffer_pages "
               "target_requests):\n");
@@ -94,6 +85,9 @@ inline void PrintList() {
     std::printf("  %-13s %s\n      = %s\n", preset.name, preset.blurb,
                 preset.spec);
   }
+  std::printf("Derived traces (sim/trace_ops.h): <workload>+noise<T> adds "
+              "T noise hint types; 3xTPCC interleaves DB2_C60, DB2_C300 "
+              "and DB2_C540 as three clients\n");
   std::printf("Figure presets (clic_sweep --figure): %s\n",
               KnownFigureNames().c_str());
   std::printf("Policies: %s (OPT is clairvoyant: offline replay only)\n",
@@ -162,18 +156,30 @@ inline double ParseReal(const char* prog, const std::string& flag,
   return parsed;
 }
 
-/// Validates a workload token: a named paper trace, a scenario preset,
-/// or an inline scenario spec. Unknown or malformed tokens die with the
-/// offending token, the parse error, and the full valid set — the one
-/// validation every workload-accepting flag (`--traces`, `--trace`,
-/// `--workload`) routes through.
+/// Whether `name` is a workload token: a named paper trace, a scenario
+/// preset, an inline scenario spec, or a trace derived from such tokens
+/// (sim/trace_ops.h). On false, `error` says why.
+inline bool KnownWorkload(const std::string& name, std::string* error) {
+  if (const std::optional<DerivedTrace> derived = ParseDerivedTrace(name)) {
+    return std::all_of(derived->sources.begin(), derived->sources.end(),
+                       [error](const std::string& source) {
+                         return KnownWorkload(source, error);
+                       });
+  }
+  for (const NamedTraceInfo& info : NamedTraces()) {
+    if (info.name == name) return true;
+  }
+  return ResolveWorkload(name, error).has_value();
+}
+
+/// Validates a workload token (KnownWorkload). Unknown or malformed
+/// tokens die with the offending token, the parse error, and the full
+/// valid set — the one validation every workload-accepting flag
+/// (`--traces`, `--trace`, `--workload`) routes through.
 inline void RequireKnownWorkload(const char* prog, const std::string& flag,
                                  const std::string& name) {
-  for (const NamedTraceInfo& info : NamedTraces()) {
-    if (info.name == name) return;
-  }
   std::string error;
-  if (ResolveWorkload(name, &error)) return;
+  if (KnownWorkload(name, &error)) return;
   Die(prog, flag + ": unknown workload '" + name + "' (" + error +
                 "; valid traces: " + KnownWorkloadNames() + ")");
 }

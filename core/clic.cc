@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "core/hint_tree.h"
 #include "policies/common.h"
@@ -10,6 +11,10 @@ namespace clic {
 
 ClicPolicy::ClicPolicy(std::size_t cache_pages, ClicOptions options)
     : options_(std::move(options)) {
+  if (options_.generalize && !options_.hint_space) {
+    throw std::invalid_argument(
+        "ClicOptions::generalize needs a hint_space registry");
+  }
   cache_pages = std::max<std::size_t>(1, cache_pages);
   outqueue_capacity_ = static_cast<std::size_t>(
       std::llround(std::max(0.0, options_.outqueue_per_page) *
@@ -582,7 +587,7 @@ void ClicPolicy::EndWindow(SeqNum end) {
                 static_cast<double>(length);
   }
 
-  if (options_.generalize && options_.hint_space) {
+  if (options_.generalize) {
     // Pool statistics over decision-tree classes; every member of a
     // class shares the pooled Equation-2 estimate, and top-k filtering
     // applies to classes instead of raw hint sets. Samples (refs_w > 0)

@@ -51,14 +51,17 @@ struct ClicOptions {
   std::size_t top_k = 100;
   /// Enable decision-tree hint-set generalization (Section 8 extension).
   bool generalize = false;
-  /// Registry for attribute lookups; required when generalize is true.
+  /// Registry for attribute lookups. ClicPolicy throws
+  /// std::invalid_argument when generalize is set without one;
+  /// MakePolicy fills it from the trace it is given.
   std::shared_ptr<const HintRegistry> hint_space;
 
   // -- Adaptive windowing (churn-triggered early close) ---------------------
-  // At the half-window checkpoint the live partial-window Equation-2
-  // priorities (from the already-maintained refs/rerefs/area state) are
-  // rank-correlated with the previous window's committed ranks; when the
-  // similarity collapses below churn_threshold the window closes early.
+  // Checkpoints inside a window measure how much of the re-reference
+  // mass accrued since the previous checkpoint landed in hint sets the
+  // last committed ranking placed in its top half. The first checkpoint
+  // falls at window start + min_window, later ones every min_window/2.
+  // When that share drops below churn_threshold the window closes early.
   // The effective window halves on each early close and doubles back
   // while the signal stays stable, clamped to [min_window, max_window].
   // The whole mechanism is a pure function of the request stream, so
@@ -67,9 +70,9 @@ struct ClicOptions {
   /// Master switch; off reproduces the fixed-window paper behaviour
   /// bit-for-bit.
   bool adaptive_window = false;
-  /// Early-close trigger: rank similarity in [0, 1] ((Spearman rho+1)/2).
-  /// 0 never closes early, which (with the default ceiling) is also
-  /// bit-identical to the fixed window.
+  /// Early-close trigger in [0, 1], compared with the top-half share of
+  /// the interval's re-reference mass. 0 never closes early, which (with
+  /// the default ceiling) is also bit-identical to the fixed window.
   double churn_threshold = 0.5;
   /// Floor on the effective window length; 0 means window / 16.
   std::uint64_t min_window = 0;
@@ -163,20 +166,18 @@ class ClicPolicy : public Policy {
   void FlushArea(HintSetId h, SeqNum now);
   void Annotate(Slot& slot, HintSetId hint, SeqNum now);
   /// The one per-request window check: seq reached either the armed
-  /// half-window checkpoint (evaluate churn, maybe close early) or the
+  /// churn checkpoint (evaluate churn, maybe close early) or the
   /// scheduled window end (close). Exactly one state transition per
   /// call, so degenerate seq jumps behave the same on the scalar and
   /// batched paths.
   void HandleWindowEvent(SeqNum seq);
-  /// Rank similarity in [0, 1] between the previous window's committed
-  /// ranks and live partial-window behaviour: the fraction of this
-  /// window's re-references (the Equation-2 numerator evidence) landing
-  /// in hint sets the committed ranking placed in its top half. 1 when
-  /// the ranking still predicts where value accrues, 0 when every
-  /// re-reference lands in sets it ranked bottom-half or not at all.
-  /// Measured over the interval since the previous checkpoint (the
-  /// snapshot bases are the only state it mutates), so a mid-window
-  /// shift is not diluted by pre-shift mass.
+  /// Similarity in [0, 1] between the committed ranking and live
+  /// behaviour: the share of the re-reference mass accrued since the
+  /// previous checkpoint that landed in hint sets the committed ranking
+  /// placed in its top half. 1 when the ranking still predicts where
+  /// value accrues, 0 when every re-reference lands in sets it ranked
+  /// bottom-half or not at all. Advancing the checkpoint bases is the
+  /// only state it mutates.
   double ChurnSimilarity();
   void EndWindow(SeqNum end);
   /// Re-ranks the positive set by (priority, id) and moves the bucket

@@ -1,11 +1,11 @@
 // Decision-tree hint-set generalization (the paper's Section 8
-// extension, exercised by bench_ablation_generalize). Hint sets are
-// grouped into classes by recursively splitting on the attribute
-// position whose values best explain the observed re-reference rates;
-// positions whose values carry no signal (e.g. injected noise
-// attributes) are never selected, so noisy variants of one real hint set
-// collapse back into a single class whose pooled statistics match the
-// original.
+// extension, exercised by `clic_sweep --figure=ablation-generalize`).
+// Hint sets are grouped into classes by recursively splitting on the
+// attribute position whose values best explain the observed
+// re-reference rates; positions whose values carry no signal (e.g.
+// injected noise attributes) are never selected, so noisy variants of
+// one real hint set collapse back into a single class whose pooled
+// statistics match the original.
 #pragma once
 
 #include <cstdint>

@@ -71,8 +71,13 @@ std::unique_ptr<Policy> MakePolicy(PolicyKind kind, std::size_t cache_pages,
       return std::make_unique<LruPolicy>(cache_pages);
     case PolicyKind::kArc:
       return std::make_unique<ArcPolicy>(cache_pages);
-    case PolicyKind::kClic:
-      return std::make_unique<ClicPolicy>(cache_pages, options);
+    case PolicyKind::kClic: {
+      ClicOptions clic = options;
+      if (clic.generalize && !clic.hint_space && trace != nullptr) {
+        clic.hint_space = trace->hints;
+      }
+      return std::make_unique<ClicPolicy>(cache_pages, std::move(clic));
+    }
     case PolicyKind::kMq:
       return std::make_unique<MqPolicy>(cache_pages);
   }

@@ -41,7 +41,8 @@ inline std::array<PolicyKind, 5> PaperPolicies() {
 
 /// Builds a policy instance for one simulation run. `trace` must outlive
 /// the policy and is required by kOpt (clairvoyant next-use oracle);
-/// `options` applies to kClic only.
+/// `options` applies to kClic only, and a generalizing CLIC without a
+/// `hint_space` gets the trace's hint registry.
 std::unique_ptr<Policy> MakePolicy(PolicyKind kind, std::size_t cache_pages,
                                    const Trace* trace,
                                    const ClicOptions& options);

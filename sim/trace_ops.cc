@@ -1,6 +1,7 @@
 #include "sim/trace_ops.h"
 
 #include <algorithm>
+#include <cctype>
 
 #include "common/rng.h"
 
@@ -69,6 +70,34 @@ Trace Interleave(const std::string& name,
     }
   }
   out.CacheMaxClient();
+  return out;
+}
+
+std::optional<DerivedTrace> ParseDerivedTrace(const std::string& name) {
+  if (name == "3xTPCC") {
+    return DerivedTrace{{"DB2_C60", "DB2_C300", "DB2_C540"}, 0, true};
+  }
+  const std::string marker = "+noise";
+  const std::size_t at = name.rfind(marker);
+  if (at == std::string::npos || at == 0) return std::nullopt;
+  const std::string digits = name.substr(at + marker.size());
+  // At most three digits, so std::stoi cannot overflow.
+  if (digits.empty() || digits.size() > 3 ||
+      !std::all_of(digits.begin(), digits.end(), [](char c) {
+        return std::isdigit(static_cast<unsigned char>(c)) != 0;
+      })) {
+    return std::nullopt;
+  }
+  return DerivedTrace{{name.substr(0, at)}, std::stoi(digits), false};
+}
+
+Trace BuildDerivedTrace(const std::string& name, const DerivedTrace& derived,
+                        const std::vector<const Trace*>& sources) {
+  if (derived.interleave) return Interleave(name, sources);
+  Trace out = InjectNoiseHints(*sources.at(0), derived.noise_types,
+                               /*domain_size=*/10, /*zipf_z=*/1.0,
+                               /*seed=*/0xF16 + derived.noise_types);
+  out.name = name;
   return out;
 }
 

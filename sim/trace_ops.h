@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -25,5 +26,26 @@ Trace InjectNoiseHints(const Trace& base, int num_types, int domain_size,
 /// experiment requires).
 Trace Interleave(const std::string& name,
                  const std::vector<const Trace*>& sources);
+
+/// A workload token that names a trace derived in memory from other
+/// workloads instead of generated:
+///   - `<base>+noise<T>`: `base` with T noise hint types at Figure 10's
+///     parameters (domain 10, Zipf z = 1, seed 0xF16 + T);
+///   - `3xTPCC`: Figure 11's round-robin interleave of DB2_C60,
+///     DB2_C300 and DB2_C540, one client id each.
+struct DerivedTrace {
+  std::vector<std::string> sources;  // workload tokens, in client order
+  int noise_types = 0;               // T of a +noise token
+  bool interleave = false;
+};
+
+/// Parses a derived-trace token; nullopt when `name` is not one (it may
+/// still be a named trace or scenario, which the caller checks).
+std::optional<DerivedTrace> ParseDerivedTrace(const std::string& name);
+
+/// Builds the trace `name` parsed into `derived` from its resolved
+/// sources, given in DerivedTrace::sources order.
+Trace BuildDerivedTrace(const std::string& name, const DerivedTrace& derived,
+                        const std::vector<const Trace*>& sources);
 
 }  // namespace clic

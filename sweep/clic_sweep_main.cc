@@ -1,13 +1,15 @@
 // clic_sweep: replay any figure's (trace × policy × cache-size) grid on
-// a thread pool and emit one CSV or JSON row per point.
+// a thread pool and emit one CSV or JSON row per point. A preset may
+// also vary CLIC's options (Figure 9's top-k, the ablations).
 //
 //   clic_sweep --figure=6 --threads=8 --format=csv --output=fig6.csv
 //   clic_sweep --traces=DB2_C60,MY_H65 --policies=LRU,CLIC
 //              --cache-pages=6000,12000 --threads=4 --format=json
 //
 // Row order is the grid expansion order (traces, then policies, then
-// cache sizes) for every thread count, so outputs from different
-// --threads values diff clean (wall_seconds column aside).
+// CLIC variants, then cache sizes) for every thread count, so outputs
+// from different --threads values diff clean (wall_seconds column
+// aside).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -42,10 +44,11 @@ CliOptions Parse(int argc, char** argv) {
         "fields)",
         {cli::String("--figure", "NAME",
                      "preset grid, one of: " + cli::KnownFigureNames() +
-                         " (6|7|8|ablation are the paper grids; the rest "
-                         "are scenario grids)",
+                         " (6-11 and ablation* are the paper's figures and "
+                         "ablations; the rest are scenario grids)",
                      &figure),
-         {"--traces", "A,B", "named traces or scenario presets (see --list)",
+         {"--traces", "A,B",
+          "named traces, scenario presets or derived traces (see --list)",
           [&spec](const char* prog, const std::string& value) {
             spec.traces = cli::SplitCsvFlag(prog, "--traces", value);
             for (const std::string& name : spec.traces) {
@@ -121,10 +124,11 @@ int Main(int argc, char** argv) {
   const std::size_t num_points = ExpandGrid(opts.spec).size();
   std::fprintf(stderr,
                "clic_sweep: %zu points (%zu traces x %zu policies x %zu "
-               "cache sizes), %u threads, request cap %llu\n",
+               "cache sizes, %zu CLIC variants), %u threads, request cap "
+               "%llu\n",
                num_points, opts.spec.traces.size(), opts.spec.policies.size(),
-               opts.spec.cache_sizes.size(), opts.threads,
-               static_cast<unsigned long long>(cap));
+               opts.spec.cache_sizes.size(), opts.spec.clic_variants.size(),
+               opts.threads, static_cast<unsigned long long>(cap));
 
   const auto start = std::chrono::steady_clock::now();
   const std::vector<SweepRow> rows = runner.Run(opts.spec);

@@ -253,92 +253,232 @@ Row::Items PerClientItems(const std::map<ClientId, CacheStats>& per_client) {
 
 std::vector<SweepPoint> ExpandGrid(const SweepSpec& spec) {
   std::vector<SweepPoint> points;
-  points.reserve(spec.traces.size() * spec.policies.size() *
-                 spec.cache_sizes.size());
   for (const std::string& trace : spec.traces) {
     for (PolicyKind policy : spec.policies) {
-      for (std::size_t cache_pages : spec.cache_sizes) {
-        SweepPoint p;
-        p.index = points.size();
-        p.trace = trace;
-        p.policy = policy;
-        p.cache_pages = cache_pages;
-        points.push_back(std::move(p));
+      const bool varied =
+          policy == PolicyKind::kClic && !spec.clic_variants.empty();
+      const std::size_t variants = varied ? spec.clic_variants.size() : 1;
+      for (std::size_t v = 0; v < variants; ++v) {
+        for (std::size_t cache_pages : spec.cache_sizes) {
+          SweepPoint p;
+          p.index = points.size();
+          p.trace = trace;
+          p.policy = policy;
+          p.cache_pages = cache_pages;
+          p.clic = spec.clic;
+          if (varied) {
+            p.variant = spec.clic_variants[v].name;
+            spec.clic_variants[v].apply(p.clic);
+          }
+          points.push_back(std::move(p));
+        }
       }
     }
   }
   return points;
 }
 
-std::optional<SweepSpec> FigureSpec(const std::string& figure) {
+namespace {
+
+using Presets = std::vector<std::pair<std::string, SweepSpec>>;
+
+SweepSpec Grid(std::vector<std::string> traces,
+               std::vector<PolicyKind> policies,
+               std::vector<std::size_t> cache_sizes) {
+  SweepSpec spec;  // default clic == the paper's Section 6.1 options
+  spec.traces = std::move(traces);
+  spec.policies = std::move(policies);
+  spec.cache_sizes = std::move(cache_sizes);
+  return spec;
+}
+
+/// `base` with T = 0..3 noise hint types (Figure 10's parameters).
+std::vector<std::string> NoisyTraces(const std::vector<std::string>& bases) {
+  std::vector<std::string> traces;
+  for (const std::string& base : bases) {
+    for (int t = 0; t <= 3; ++t) {
+      traces.push_back(base + "+noise" + std::to_string(t));
+    }
+  }
+  return traces;
+}
+
+std::string Number(double value) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%g", value);
+  return buf;
+}
+
+Presets BuildPresets() {
   const std::vector<std::size_t> db2_caches = {6'000, 12'000, 18'000,
                                                24'000, 30'000};
-  const std::array<PolicyKind, 5> paper = PaperPolicies();
+  const std::array<PolicyKind, 5> paper_array = PaperPolicies();
+  const std::vector<PolicyKind> paper(paper_array.begin(), paper_array.end());
+  const std::vector<PolicyKind> clic = {PolicyKind::kClic};
   // The scenario grids compare the online-servable policies the
   // scenarios stress: LRU (the pollution victim), ARC (scan-resistant
   // without hints), TQ (write hints only), CLIC (full hints).
   const std::vector<PolicyKind> scenario_policies = {
       PolicyKind::kLru, PolicyKind::kArc, PolicyKind::kTq, PolicyKind::kClic};
-  SweepSpec spec;  // default clic == the paper's Section 6.1 options
-  if (figure == "6") {
-    spec.traces = {"DB2_C60", "DB2_C300", "DB2_C540"};
-    spec.policies.assign(paper.begin(), paper.end());
-    spec.cache_sizes = db2_caches;
-  } else if (figure == "7") {
-    spec.traces = {"DB2_H80", "DB2_H400", "DB2_H720"};
-    spec.policies.assign(paper.begin(), paper.end());
-    spec.cache_sizes = db2_caches;
-  } else if (figure == "8") {
-    spec.traces = {"MY_H65", "MY_H98"};
-    spec.policies.assign(paper.begin(), paper.end());
-    spec.cache_sizes = {5'000, 7'500, 10'000};
-  } else if (figure == "ablation") {
-    spec.traces = {"DB2_C300"};
-    spec.policies = {PolicyKind::kLru, PolicyKind::kMq, PolicyKind::kArc,
-                     PolicyKind::kTq, PolicyKind::kClic};
-    spec.cache_sizes = {12'000};
-  } else if (figure == "zipf-sweep") {
-    // Skew sweep: inline specs so the theta axis is explicit in the
-    // trace column of every row.
-    spec.traces = {"zipf:theta=0.5", "zipf:theta=0.7", "zipf:theta=0.9",
-                   "zipf:theta=0.99"};
-    spec.policies = scenario_policies;
-    spec.cache_sizes = {6'000, 12'000, 24'000};
-  } else if (figure == "scan-pollution") {
-    // The headline scenario grid: the same hot set with and without
-    // scan pollution, at the paper's cache sizes.
-    spec.traces = {"zipf-hot", "scan-pollute"};
-    spec.policies = scenario_policies;
-    spec.cache_sizes = db2_caches;
-  } else if (figure == "phase-shift") {
-    spec.traces = {"phase-abrupt", "phase-gradual"};
-    spec.policies = scenario_policies;
-    spec.cache_sizes = {6'000, 12'000, 18'000};
-    // Phase tracking needs the evaluation window well under the phase
-    // length and a short priority memory: the paper's W=1e5 with r=1
-    // straddles phase boundaries, so CLIC would protect the *previous*
-    // working set all trace long (measured: 0.27 vs 0.55 read hit ratio
-    // at 12k pages on phase-abrupt). See DESIGN.md "Workload
-    // scenarios".
-    spec.clic.window = 20'000;
-    spec.clic.decay = 0.2;
-  } else if (figure == "phase-shift-adaptive") {
-    // The same phase grid with the paper's untouched W=1e5/r=1 plus the
-    // churn-triggered adaptive window: CLIC recovers from abrupt shifts
-    // without the hand-tuned window/decay the fixed preset needs
-    // (measured in bench/README.md "Adaptive windowing").
-    spec.traces = {"phase-abrupt", "phase-gradual"};
-    spec.policies = scenario_policies;
-    spec.cache_sizes = {6'000, 12'000, 18'000};
-    spec.clic.adaptive_window = true;
-  } else if (figure == "tenant-mix") {
-    spec.traces = {"tenant-mix4"};
-    spec.policies = scenario_policies;
-    spec.cache_sizes = {6'000, 12'000, 24'000};
-  } else {
-    return std::nullopt;
+  const std::vector<std::string> tpcc = {"DB2_C60", "DB2_C300", "DB2_C540"};
+  // Figures 10 and 11 and the generalization ablation fix top-k
+  // tracking at k = 100.
+  const auto top100 = [](SweepSpec spec) {
+    spec.clic.tracker = TrackerKind::kSpaceSaving;
+    spec.clic.top_k = 100;
+    return spec;
+  };
+  Presets presets;
+  presets.emplace_back("6", Grid(tpcc, paper, db2_caches));
+  presets.emplace_back(
+      "7", Grid({"DB2_H80", "DB2_H400", "DB2_H720"}, paper, db2_caches));
+  presets.emplace_back("8", Grid({"MY_H65", "MY_H98"}, paper,
+                                 {5'000, 7'500, 10'000}));
+
+  // Figure 9 (Section 5): Space-Saving top-k, k = 1..128, against exact
+  // tracking ("all"), at an 18K-page cache (the paper's 180K / 10).
+  SweepSpec fig9 = Grid({"DB2_C60", "DB2_C300", "DB2_C540", "DB2_H80",
+                         "DB2_H400", "DB2_H720"},
+                        clic, {18'000});
+  for (std::size_t k = 1; k <= 128; k *= 2) {
+    fig9.clic_variants.push_back({"k=" + std::to_string(k),
+                                  [k](ClicOptions& o) {
+                                    o.tracker = TrackerKind::kSpaceSaving;
+                                    o.top_k = k;
+                                  }});
   }
-  return spec;
+  fig9.clic_variants.push_back(
+      {"k=all", [](ClicOptions& o) { o.tracker = TrackerKind::kExact; }});
+  presets.emplace_back("9", std::move(fig9));
+
+  // Figure 10 (Section 6.3): T useless noise hint types diluting the
+  // hint sets CLIC ranks.
+  presets.emplace_back("10",
+                       top100(Grid(NoisyTraces(tpcc), clic, {18'000})));
+
+  // Figure 11: the three TPC-C clients sharing one 18K-page cache
+  // (3xTPCC; per-client ratios in per_client) against a private
+  // 6K-page cache each (the DB2_C* rows at 6000).
+  presets.emplace_back(
+      "11", top100(Grid({"DB2_C60", "DB2_C300", "DB2_C540", "3xTPCC"}, clic,
+                        {6'000, 18'000})));
+
+  // The figure policies minus OPT, plus the Section-7 MQ baseline.
+  presets.emplace_back(
+      "ablation",
+      Grid({"DB2_C300"},
+           {PolicyKind::kLru, PolicyKind::kMq, PolicyKind::kArc,
+            PolicyKind::kTq, PolicyKind::kClic},
+           {12'000}));
+
+  // Window length W and decay r (Section 3.2), each with and without
+  // the churn-triggered adaptive close.
+  SweepSpec window = Grid({"DB2_C300"}, clic, {12'000});
+  for (std::uint64_t w : {25'000u, 50'000u, 100'000u, 200'000u, 400'000u}) {
+    for (double r : {0.25, 0.5, 1.0}) {
+      for (bool adaptive : {false, true}) {
+        window.clic_variants.push_back(
+            {"W=" + std::to_string(w) + "/r=" + Number(r) +
+                 (adaptive ? "/adaptive" : "/fixed"),
+             [w, r, adaptive](ClicOptions& o) {
+               o.window = w;
+               o.decay = r;
+               o.adaptive_window = adaptive;
+             }});
+      }
+    }
+  }
+  presets.emplace_back("ablation-window", std::move(window));
+
+  // Outqueue entries per cache page (the paper fixes N_outq = 5).
+  SweepSpec outqueue = Grid({"DB2_C300"}, clic, {12'000});
+  for (double per_page : {0.0, 0.5, 1.0, 2.0, 5.0, 10.0}) {
+    outqueue.clic_variants.push_back(
+        {"outq=" + Number(per_page),
+         [per_page](ClicOptions& o) { o.outqueue_per_page = per_page; }});
+  }
+  presets.emplace_back("ablation-outqueue", std::move(outqueue));
+
+  // Hint-set frequency tracker (Section 5) on an OLTP and a DSS trace.
+  SweepSpec tracker = Grid({"DB2_C300", "DB2_H400"}, clic, {12'000});
+  tracker.clic_variants.push_back(
+      {"exact", [](ClicOptions& o) { o.tracker = TrackerKind::kExact; }});
+  for (const auto& [kind, name] :
+       {std::pair{TrackerKind::kSpaceSaving, "space_saving"},
+        std::pair{TrackerKind::kLossyCounting, "lossy_counting"}}) {
+    for (std::size_t k : {10u, 100u}) {
+      tracker.clic_variants.push_back(
+          {std::string(name) + "/k=" + std::to_string(k),
+           [kind = kind, k](ClicOptions& o) {
+             o.tracker = kind;
+             o.top_k = k;
+           }});
+    }
+  }
+  presets.emplace_back("ablation-tracker", std::move(tracker));
+
+  // Decision-tree hint generalization (the paper's Section 8 future
+  // work) on Figure 10's noisy DB2_C300 traces.
+  SweepSpec generalize =
+      top100(Grid(NoisyTraces({"DB2_C300"}), clic, {18'000}));
+  generalize.clic_variants = {
+      {"plain", [](ClicOptions&) {}},
+      {"tree", [](ClicOptions& o) { o.generalize = true; }}};
+  presets.emplace_back("ablation-generalize", std::move(generalize));
+
+  presets.emplace_back(
+      "zipf-sweep",
+      // Inline specs, so the theta axis is explicit in the trace column.
+      Grid({"zipf:theta=0.5", "zipf:theta=0.7", "zipf:theta=0.9",
+            "zipf:theta=0.99"},
+           scenario_policies, {6'000, 12'000, 24'000}));
+  // The headline scenario grid: the same hot set with and without scan
+  // pollution, at the paper's cache sizes.
+  presets.emplace_back("scan-pollution", Grid({"zipf-hot", "scan-pollute"},
+                                              scenario_policies, db2_caches));
+  SweepSpec phase = Grid({"phase-abrupt", "phase-gradual"}, scenario_policies,
+                         {6'000, 12'000, 18'000});
+  // The same phase grid with the paper's untouched W=1e5/r=1 plus the
+  // churn-triggered adaptive window: CLIC recovers from abrupt shifts
+  // without the hand-tuned window/decay of "phase-shift" (measured in
+  // bench/README.md "Adaptive windowing").
+  SweepSpec adaptive = phase;
+  adaptive.clic.adaptive_window = true;
+  // Phase tracking needs the evaluation window well under the phase
+  // length and a short priority memory: the paper's W=1e5 with r=1
+  // straddles phase boundaries, so CLIC would protect the *previous*
+  // working set all trace long (measured: 0.27 vs 0.55 read hit ratio at
+  // 12k pages on phase-abrupt). See DESIGN.md "Workload scenarios".
+  phase.clic.window = 20'000;
+  phase.clic.decay = 0.2;
+  presets.emplace_back("phase-shift", std::move(phase));
+  presets.emplace_back("phase-shift-adaptive", std::move(adaptive));
+  presets.emplace_back("tenant-mix", Grid({"tenant-mix4"}, scenario_policies,
+                                          {6'000, 12'000, 24'000}));
+  return presets;
+}
+
+const Presets& AllPresets() {
+  static const Presets presets = BuildPresets();
+  return presets;
+}
+
+}  // namespace
+
+const std::vector<std::string>& FigurePresetNames() {
+  static const std::vector<std::string> names = [] {
+    std::vector<std::string> out;
+    for (const auto& preset : AllPresets()) out.push_back(preset.first);
+    return out;
+  }();
+  return names;
+}
+
+std::optional<SweepSpec> FigureSpec(const std::string& figure) {
+  for (const auto& [name, spec] : AllPresets()) {
+    if (name == figure) return spec;
+  }
+  return std::nullopt;
 }
 
 SweepRunner::SweepRunner(TraceProvider provider, unsigned threads)
@@ -373,7 +513,7 @@ std::vector<SweepRow> SweepRunner::Run(const SweepSpec& spec) const {
     const SweepPoint& p = points[i];
     const Trace& trace = *traces.at(p.trace);
     const auto start = std::chrono::steady_clock::now();
-    const auto policy = MakePolicy(p.policy, p.cache_pages, &trace, spec.clic);
+    const auto policy = MakePolicy(p.policy, p.cache_pages, &trace, p.clic);
     SimResult result = Simulate(trace, *policy);
     const std::chrono::duration<double> elapsed =
         std::chrono::steady_clock::now() - start;
@@ -386,9 +526,11 @@ std::vector<SweepRow> SweepRunner::Run(const SweepSpec& spec) const {
 
 Row ToRow(const SweepRow& row) {
   const CacheStats& t = row.result.total;
+  std::string policy = PolicyName(row.point.policy);
+  if (!row.point.variant.empty()) policy += "/" + row.point.variant;
   Row out;
   out.Str("trace", row.point.trace)
-      .Str("policy", PolicyName(row.point.policy))
+      .Str("policy", std::move(policy))
       .Int("cache_pages", row.point.cache_pages)
       .Int("requests", t.reads + t.writes)
       .Int("reads", t.reads)

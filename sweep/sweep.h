@@ -24,10 +24,18 @@
 
 namespace clic::sweep {
 
+/// A named delta applied on top of SweepSpec::clic, e.g. one top-k
+/// setting of Figure 9: its rows print as `CLIC/<name>`.
+struct ClicVariant {
+  std::string name;
+  std::function<void(ClicOptions&)> apply;
+};
+
 /// Declarative grid. Expansion order is fixed — traces outermost, then
-/// policies, then cache sizes, matching the nesting of the paper's
-/// figures — so a spec always yields the same row order no matter how
-/// (or on how many threads) it runs.
+/// policies, then CLIC variants (kClic only), then cache sizes,
+/// matching the nesting of the paper's figures — so a spec always
+/// yields the same row order no matter how (or on how many threads) it
+/// runs.
 struct SweepSpec {
   std::vector<std::string> traces;
   std::vector<PolicyKind> policies;
@@ -36,6 +44,9 @@ struct SweepSpec {
   /// the paper's Section 6.1 configuration (W=1e5, r=1, Noutq=5,
   /// metadata charged).
   ClicOptions clic;
+  /// Each kClic point runs once per variant, with the variant applied
+  /// to `clic`; empty runs `clic` as is. Only presets set it.
+  std::vector<ClicVariant> clic_variants;
 };
 
 struct SweepPoint {
@@ -43,6 +54,8 @@ struct SweepPoint {
   std::string trace;
   PolicyKind policy = PolicyKind::kLru;
   std::size_t cache_pages = 0;
+  std::string variant;  // ClicVariant::name, empty without one
+  ClicOptions clic;     // SweepSpec::clic with the variant applied
 };
 
 struct SweepRow {
@@ -53,15 +66,15 @@ struct SweepRow {
 
 std::vector<SweepPoint> ExpandGrid(const SweepSpec& spec);
 
-/// The preset grid of a paper figure — "6", "7", "8" (Figures 6-8),
-/// "ablation" (the figure policies minus OPT, plus the Section-7 MQ
-/// baseline) — or of a workload scenario: "zipf-sweep",
-/// "scan-pollution", "phase-shift", "tenant-mix" (grids over
-/// workload/scenario.h generators). The single source of truth for
-/// these grids: the `clic_sweep --figure` presets call it, and the
-/// valid-name list is cli::FigurePresetNames() (common/cli_util.h),
-/// pinned equal by tests/test_sweep.cc. Returns nullopt for unknown
-/// names.
+/// The preset grids of `clic_sweep --figure`, in table order: the paper
+/// figures "6" to "11", the policy ablation and the CLIC ablations
+/// ("ablation-window", "-outqueue", "-tracker", "-generalize"), and the
+/// workload-scenario grids ("zipf-sweep", "scan-pollution", ...).
+const std::vector<std::string>& FigurePresetNames();
+
+/// The preset grid named `figure`, or nullopt for unknown names. The
+/// single source of truth for these grids; FigurePresetNames() lists
+/// exactly the names it resolves.
 std::optional<SweepSpec> FigureSpec(const std::string& figure);
 
 class SweepRunner {

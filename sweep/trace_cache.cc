@@ -6,11 +6,14 @@
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
+#include <optional>
+#include <vector>
 
 #include <dirent.h>
 #include <sys/stat.h>
 
 #include "sim/trace_io.h"
+#include "sim/trace_ops.h"
 #include "workload/scenario.h"
 #include "workload/trace_factory.h"
 
@@ -83,6 +86,17 @@ const Trace& TraceCache::Get(const std::string& name) {
 }
 
 void TraceCache::Fill(const std::string& name, Entry& entry) {
+  // A derived trace is rebuilt in memory from its cached sources; it is
+  // cheap next to generation and never written to disk.
+  if (const std::optional<DerivedTrace> derived = ParseDerivedTrace(name)) {
+    std::vector<const Trace*> sources;
+    for (const std::string& source : derived->sources) {
+      sources.push_back(&Get(source));
+    }
+    entry.trace = std::make_unique<const Trace>(
+        BuildDerivedTrace(name, *derived, sources));
+    return;
+  }
   std::uint64_t target = 0;
   bool named = false;
   for (const NamedTraceInfo& info : NamedTraces()) {

@@ -1,7 +1,7 @@
 // Process-wide trace cache with per-trace once-initialization.
 //
-// The figure benches and the sweep runner both replay the same eight
-// named traces; this cache generates (or disk-loads) each trace exactly
+// The benches and the sweep runner both replay the same eight named
+// traces; this cache generates (or disk-loads) each trace exactly
 // once per process and hands out shared immutable references. Locking
 // is per trace: concurrent Get() calls for the *same* name block until
 // one generation finishes, calls for *distinct* names generate in
@@ -50,8 +50,9 @@ class TraceCache {
   TraceCache(std::string dir, std::uint64_t request_cap);
 
   /// Returns the named workload — one of the eight paper traces, a
-  /// scenario preset, or an inline scenario spec (workload/scenario.h)
-  /// — generated once and cached on disk across processes. Thread-safe
+  /// scenario preset, an inline scenario spec (workload/scenario.h), or
+  /// a trace derived from those (sim/trace_ops.h) — generated once and,
+  /// unless derived, cached on disk across processes. Thread-safe
   /// (per-trace granularity, see file comment). The reference stays
   /// valid for the cache's lifetime. Unknown names and an unusable
   /// cache directory exit(1): silently replaying an empty trace would

@@ -67,10 +67,12 @@ for removed in CLOCK 2Q TWOQ; do
 done
 expect_reject "clic_serve removed policy 2Q" "2Q" "ARC, CLIC, MQ" -- \
   "$SERVE" --trace=DB2_C60 --policy=2Q
-expect_reject "clic_sweep unknown figure" "9" "ablation" -- \
-  "$SWEEP" --figure=9
-expect_reject "clic_sweep unknown figure lists scenario grids" "9" "scan-pollution" -- \
-  "$SWEEP" --figure=9
+expect_reject "clic_sweep unknown figure" "12" "ablation-window" -- \
+  "$SWEEP" --figure=12
+expect_reject "clic_sweep unknown figure lists scenario grids" "12" "scan-pollution" -- \
+  "$SWEEP" --figure=12
+expect_reject "clic_sweep derived trace of an unknown base" "BOGUS+noise1" "3xTPCC" -- \
+  "$SWEEP" --traces=BOGUS+noise1 --policies=LRU --cache-pages=100
 expect_reject "clic_sweep unknown trace lists scenario presets" "BOGUS" "scan-pollute" -- \
   "$SWEEP" --traces=BOGUS --policies=LRU --cache-pages=100
 expect_reject "clic_sweep bad inline scenario spec" "theta" "zipf" -- \

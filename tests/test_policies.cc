@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "common/rng.h"
+#include "core/clic.h"
 #include "core/trace.h"
 #include "sim/policy_factory.h"
 #include "sim/simulator.h"
@@ -74,7 +76,7 @@ TEST(TqTest, ReplacementWritesAreProtected) {
   read(1);    // hit under TQ, miss under LRU
   const Trace& t = trace;
 
-  TqPolicy tq(2, /*write_bonus=*/1.0);
+  TqPolicy tq(2);
   const SimResult tq_result = Simulate(t, tq);
   EXPECT_EQ(tq_result.total.read_hits, 1u);
 
@@ -95,6 +97,37 @@ TEST(OptTest, HandCheckedBelady) {
   auto opt = MakePolicy(PolicyKind::kOpt, 2, &trace, ClicOptions{});
   const SimResult result = Simulate(trace, *opt);
   EXPECT_EQ(result.total.read_hits, 2u);
+}
+
+TEST(ClicGeneralizeTest, ThrowsWithoutHintRegistry) {
+  ClicOptions options;
+  options.generalize = true;
+  EXPECT_THROW(ClicPolicy(64, options), std::invalid_argument);
+}
+
+TEST(ClicGeneralizeTest, MakePolicyFillsTheRegistryFromTheTrace) {
+  Trace trace;
+  Rng rng(7);
+  ZipfGenerator zipf(400, 0.9);
+  for (int i = 0; i < 6'000; ++i) {
+    Request r;
+    r.page = zipf(rng);
+    r.hint_set = trace.hints->Intern(HintVector{
+        0, {static_cast<std::uint32_t>(r.page % 4),
+            static_cast<std::uint32_t>(rng.Below(3))}});
+    trace.requests.push_back(r);
+  }
+  ClicOptions options;
+  options.window = 500;
+  options.generalize = true;
+  auto made = MakePolicy(PolicyKind::kClic, 64, &trace, options);
+  options.hint_space = trace.hints;
+  ClicPolicy explicit_registry(64, options);
+  const SimResult a = Simulate(trace, *made);
+  const SimResult b = Simulate(trace, explicit_registry);
+  EXPECT_EQ(a.total.read_hits, b.total.read_hits);
+  EXPECT_EQ(a.total.reads, b.total.reads);
+  EXPECT_GT(a.total.read_hits, 0u);
 }
 
 TEST(PolicyZooTest, OptDominatesAndAllStayConsistent) {

@@ -2,18 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/cli_util.h"
 #include "core/trace.h"
 #include "sim/simulator.h"
-#include "workload/scenario.h"
-#include "workload/trace_factory.h"
+#include "sim/trace_ops.h"
+#include "sweep/trace_cache.h"
 
 namespace clic::sweep {
 namespace {
@@ -141,16 +145,19 @@ TEST(FigureSpecTest, KnownFiguresHaveExpectedGridShapes) {
   EXPECT_EQ(ablation->policies.size(), 5u);
   EXPECT_EQ(ExpandGrid(*ablation).size(), 5u);
 
-  EXPECT_FALSE(FigureSpec("9").has_value());
+  const auto fig9 = FigureSpec("9");
+  ASSERT_TRUE(fig9.has_value());
+  EXPECT_EQ(fig9->clic_variants.size(), 9u);  // k = 1..128 and "all"
+  EXPECT_EQ(ExpandGrid(*fig9).size(), 54u);
+
+  EXPECT_FALSE(FigureSpec("12").has_value());
   EXPECT_FALSE(FigureSpec("").has_value());
 }
 
 TEST(FigureSpecTest, PresetTableMatchesResolvableFigures) {
-  // The one table rule (common/cli_util.h): every token the help text
-  // and error messages advertise must resolve, every scenario-grid
-  // trace must itself be a resolvable workload, and the table must be
-  // exhaustive for the grids this test knows to exist.
-  for (const std::string& name : cli::FigurePresetNames()) {
+  // Every advertised preset resolves, and every trace it names is a
+  // workload token the CLI accepts.
+  for (const std::string& name : FigurePresetNames()) {
     const auto spec = FigureSpec(name);
     ASSERT_TRUE(spec.has_value()) << "advertised figure '" << name
                                   << "' does not resolve";
@@ -158,12 +165,8 @@ TEST(FigureSpecTest, PresetTableMatchesResolvableFigures) {
     EXPECT_FALSE(spec->policies.empty()) << name;
     EXPECT_FALSE(spec->cache_sizes.empty()) << name;
     for (const std::string& trace : spec->traces) {
-      bool named = false;
-      for (const NamedTraceInfo& info : NamedTraces()) {
-        named = named || info.name == trace;
-      }
       std::string error;
-      EXPECT_TRUE(named || ResolveWorkload(trace, &error).has_value())
+      EXPECT_TRUE(cli::KnownWorkload(trace, &error))
           << "figure '" << name << "' trace '" << trace << "': " << error;
     }
   }
@@ -232,6 +235,151 @@ TEST(SweepRunnerTest, EmptyGridYieldsNoRows) {
   FixtureProvider fixture;
   SweepSpec spec;  // no traces/policies/caches
   EXPECT_TRUE(SweepRunner(fixture.Get(), 4).Run(spec).empty());
+}
+
+TEST(ExpandGridTest, VariantsApplyOnTopOfTheBaseToClicPointsOnly) {
+  SweepSpec spec;
+  spec.traces = {"t0"};
+  spec.policies = {PolicyKind::kLru, PolicyKind::kClic};
+  spec.cache_sizes = {10, 20};
+  spec.clic.window = 777;
+  spec.clic_variants = {{"a", [](ClicOptions& o) { o.top_k = 3; }},
+                        {"b", [](ClicOptions& o) { o.decay = 0.5; }}};
+  const std::vector<SweepPoint> points = ExpandGrid(spec);
+  ASSERT_EQ(points.size(), 6u);  // LRU x 2 caches + CLIC x 2 variants x 2
+  EXPECT_EQ(points[0].policy, PolicyKind::kLru);
+  EXPECT_TRUE(points[0].variant.empty());
+  EXPECT_EQ(points[2].variant, "a");
+  EXPECT_EQ(points[2].cache_pages, 10u);
+  EXPECT_EQ(points[3].variant, "a");
+  EXPECT_EQ(points[3].cache_pages, 20u);
+  EXPECT_EQ(points[2].clic.top_k, 3u);
+  EXPECT_EQ(points[2].clic.window, 777u);
+  EXPECT_EQ(points[4].variant, "b");
+  EXPECT_EQ(points[4].clic.decay, 0.5);
+  EXPECT_EQ(points[4].clic.top_k, ClicOptions{}.top_k);
+  EXPECT_EQ(points[4].clic.window, 777u);
+
+  SweepRow row;
+  row.point = points[4];
+  EXPECT_EQ(ToRow(row).Csv().rfind("t0,CLIC/b,10,", 0), 0u);
+  row.point = points[0];
+  EXPECT_EQ(ToRow(row).Csv().rfind("t0,LRU,10,", 0), 0u);
+}
+
+// One CLIC row of each figure and ablation preset, replayed on a
+// synthetic trace with a short base window so windows close, equals a
+// direct Simulate with that row's options written out by hand.
+TEST(FigureSpecTest, PresetRowsEqualSimulateWithTheirOptions) {
+  const Trace trace = MakeSynthetic("synthL", 5, 60'000);
+  const auto provider = [&trace](const std::string&) -> const Trace& {
+    return trace;
+  };
+  struct Case {
+    std::string preset;
+    std::string variant;  // "" for presets without variants
+    std::function<void(ClicOptions&)> options;
+  };
+  const auto top100 = [](ClicOptions& o) {
+    o.tracker = TrackerKind::kSpaceSaving;
+    o.top_k = 100;
+  };
+  const std::vector<Case> cases = {
+      {"9", "k=16",
+       [](ClicOptions& o) {
+         o.tracker = TrackerKind::kSpaceSaving;
+         o.top_k = 16;
+       }},
+      {"9", "k=all", [](ClicOptions& o) { o.tracker = TrackerKind::kExact; }},
+      {"10", "", top100},
+      {"11", "", top100},
+      {"ablation-window", "W=25000/r=0.5/adaptive",
+       [](ClicOptions& o) {
+         o.window = 25'000;
+         o.decay = 0.5;
+         o.adaptive_window = true;
+       }},
+      {"ablation-outqueue", "outq=0.5",
+       [](ClicOptions& o) { o.outqueue_per_page = 0.5; }},
+      {"ablation-tracker", "lossy_counting/k=10",
+       [](ClicOptions& o) {
+         o.tracker = TrackerKind::kLossyCounting;
+         o.top_k = 10;
+       }},
+      {"ablation-generalize", "tree",
+       [&](ClicOptions& o) {
+         top100(o);
+         o.generalize = true;
+         o.hint_space = trace.hints;
+       }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.preset + " " + c.variant);
+    std::optional<SweepSpec> spec = FigureSpec(c.preset);
+    ASSERT_TRUE(spec.has_value());
+    spec->traces = {"synthL"};
+    spec->cache_sizes = {96};
+    spec->clic.window = 2'000;
+    const std::vector<SweepRow> rows = SweepRunner(provider, 2).Run(*spec);
+    const SweepRow* row = nullptr;
+    for (const SweepRow& r : rows) {
+      if (r.point.policy == PolicyKind::kClic && r.point.variant == c.variant) {
+        row = &r;
+      }
+    }
+    ASSERT_NE(row, nullptr);
+    ClicOptions options;
+    options.window = 2'000;
+    c.options(options);
+    ClicPolicy policy(96, options);
+    ExpectSameResult(row->result, Simulate(trace, policy));
+  }
+}
+
+TEST(SweepRunnerTest, DerivedTraceRowsEqualSimulateOnHandBuiltTraces) {
+  TraceCache cache(::testing::TempDir() + "clic_sweep_test_derived_" +
+                       std::to_string(::getpid()),
+                   3'000);
+  SweepSpec spec;
+  spec.traces = {"DB2_C300+noise2", "3xTPCC"};
+  spec.policies = {PolicyKind::kClic};
+  spec.cache_sizes = {100};
+  spec.clic.window = 1'000;
+  spec.clic.tracker = TrackerKind::kSpaceSaving;
+  const std::vector<SweepRow> rows =
+      SweepRunner(
+          [&cache](const std::string& name) -> const Trace& {
+            return cache.Get(name);
+          },
+          2)
+          .Run(spec);
+  ASSERT_EQ(rows.size(), 2u);
+
+  const Trace noisy = InjectNoiseHints(cache.Get("DB2_C300"), 2,
+                                       /*domain_size=*/10, /*zipf_z=*/1.0,
+                                       /*seed=*/0xF16 + 2);
+  const Trace merged =
+      Interleave("3xTPCC", {&cache.Get("DB2_C60"), &cache.Get("DB2_C300"),
+                            &cache.Get("DB2_C540")});
+  EXPECT_GT(noisy.hints->size(), cache.Get("DB2_C300").hints->size());
+  EXPECT_EQ(merged.size(), 9'000u);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const Trace& expected_trace = i == 0 ? noisy : merged;
+    const Trace& derived = cache.Get(spec.traces[i]);
+    ASSERT_EQ(derived.size(), expected_trace.size());
+    for (std::size_t r = 0; r < derived.size(); ++r) {
+      const Request& got = derived.requests[r];
+      const Request& want = expected_trace.requests[r];
+      ASSERT_EQ(got.page, want.page) << r;
+      ASSERT_EQ(got.client, want.client) << r;
+      ASSERT_TRUE(derived.hints->Get(got.hint_set) ==
+                  expected_trace.hints->Get(want.hint_set))
+          << spec.traces[i] << " request " << r;
+    }
+    ClicPolicy policy(100, spec.clic);
+    ExpectSameResult(rows[i].result, Simulate(expected_trace, policy));
+  }
+  EXPECT_EQ(rows[1].result.per_client.size(), 3u);
 }
 
 // Commas outside quoted fields: the CSV column separators of a line.
